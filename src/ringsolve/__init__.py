@@ -15,6 +15,7 @@ from .convergence_analysis import (
     estimate_iterations,
     optimal_omega,
     select_method,
+    sor_radius,
     spectral_radius,
     structure_flags,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "MatrixProfile",
     "spectral_radius",
     "optimal_omega",
+    "sor_radius",
     "estimate_iterations",
     "structure_flags",
     "classify",

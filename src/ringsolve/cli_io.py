@@ -357,6 +357,7 @@ def _cmd_analyze(args) -> int:
             "sor_omega": profile.sor_omega,
             "omega_star": profile.omega_star,
             "recommendation": _recommendation_text(profile.recommendation),
+            "radii_converged": profile.radii_converged,
         }
         print(json.dumps(payload, indent=2))
         return 0

@@ -1,15 +1,22 @@
-"""Spectral-radius estimation, matrix classification, and method selection.
+"""Spectral radii, matrix classification, and method selection.
 
-The spectral radius of an iteration matrix T is estimated by repeated
-application of T to a fixed seed vector with renormalization after every
-step.  The growth factors are averaged geometrically over a trailing
-window of 32 steps, which makes the estimate insensitive to dominant
-eigenvalues that come in +/- pairs or complex-conjugate pairs; a plain
-Rayleigh or single-step ratio oscillates in those cases and never settles.
+For a symmetric tridiagonal matrix with a positive diagonal the radii
+have closed forms (Young's theory of consistently ordered matrices).  The
+Jacobi radius is the largest eigenvalue of the symmetric tridiagonal
+matrix D^-1/2 (L + U) D^-1/2, found by Sturm-count bisection in O(n) per
+step; then rho_gs = rho_j^2 and, for a positive definite matrix, the
+optimal SOR weight has radius omega* - 1.
+
+Every other radius is estimated by power iteration: repeated application
+of T to a fixed seed vector with renormalization after every step.  The
+growth factors are averaged geometrically over a trailing window of 32
+steps, which makes the estimate insensitive to dominant eigenvalues that
+come in +/- pairs or complex-conjugate pairs; a plain Rayleigh or
+single-step ratio oscillates in those cases and never settles.
 
 Classification checks each method's sufficient condition (diagonal
 dominance for Jacobi, symmetric positive definite for Gauss-Seidel, SPD
-plus tridiagonal for SOR), measures all three radii, and recommends the
+plus tridiagonal for SOR), obtains all three radii, and recommends the
 method with the smallest one.
 """
 
@@ -30,6 +37,7 @@ __all__ = [
     "MatrixProfile",
     "spectral_radius",
     "optimal_omega",
+    "sor_radius",
     "estimate_iterations",
     "structure_flags",
     "classify",
@@ -41,8 +49,9 @@ __all__ = [
 _WINDOW = 32
 # Consecutive stable comparisons required before the estimate is accepted.
 _STABLE_RUNS = 8
-# Classification needs radii near sqrt-shaped cusps (rho of SOR at omega
-# just below the optimum), where the default public tolerance is too loose.
+# Radii measured by power iteration in classify must resolve differences
+# finer than the selection tie tolerance below, so the default public
+# tolerance is too loose.
 _CLASSIFY_TOL = 1e-10
 # SOR weight used for profiling when the optimal-omega hypotheses fail.
 _FALLBACK_OMEGA = 1.5
@@ -71,6 +80,8 @@ class MatrixProfile:
     ``omega_star is None`` with ``rho_sor`` present flags a non-optimal
     fallback profile.  ``predicted_iterations`` maps method tags to a
     priori counts; it stays None until a solve supplies a right-hand side.
+    ``radii_converged`` is False when any radius came from a power
+    iteration that ran out of steps before its estimate settled.
     """
 
     is_symmetric: bool
@@ -86,6 +97,7 @@ class MatrixProfile:
     sor_omega: float | None
     recommendation: Method | str
     predicted_iterations: dict[str, int] | None = None
+    radii_converged: bool = True
 
     def __post_init__(self):
         if self.is_strictly_diag_dominant and not self.is_weakly_diag_dominant:
@@ -161,6 +173,25 @@ def optimal_omega(rho_j: float) -> float:
     return 2.0 / (1.0 + math.sqrt(1.0 - rho_j * rho_j))
 
 
+def sor_radius(rho_j: float, omega: float) -> float:
+    """Young's spectral radius of the SOR iteration matrix at weight omega.
+
+    Valid under the hypotheses of ``optimal_omega``.  Below the optimal
+    weight the radius is (omega rho_j + sqrt(omega^2 rho_j^2 - 4 (omega - 1)))^2 / 4;
+    from the optimum on it is omega - 1.
+    """
+    if not (0.0 <= rho_j < 1.0):
+        raise ValueError(f"SOR radius requires 0 <= rho_j < 1, got {rho_j}")
+    if not (0.0 < omega < 2.0):
+        raise ValueError(f"SOR radius requires 0 < omega < 2, got {omega}")
+    if omega >= optimal_omega(rho_j):
+        return omega - 1.0
+    wr = omega * rho_j
+    # Just below the optimum the discriminant is zero up to rounding.
+    root = math.sqrt(max(0.0, wr * wr - 4.0 * (omega - 1.0)))
+    return 0.25 * (wr + root) ** 2
+
+
 def estimate_iterations(eta: float, rho: float, norm_a: float, first_step: float) -> int:
     """A priori iteration count to push the solution error below eta.
 
@@ -193,6 +224,8 @@ def structure_flags(a: Matrix) -> dict[str, bool]:
     dominance compares each |A_ii| against its off-diagonal row sum;
     positive definiteness attempts a Cholesky factorization (only for
     symmetric matrices) and reports whether every pivot stays positive.
+    A tridiagonal matrix is factored on its bidiagonal factor in O(n),
+    which meets the same pivots as the dense factorization.
     """
     n = _require_square(a)
     rows = (a if isinstance(a, DenseMatrix) else a.to_dense()).to_rows()
@@ -218,7 +251,12 @@ def structure_flags(a: Matrix) -> dict[str, bool]:
         "is_strictly_diag_dominant": strict,
         "is_weakly_diag_dominant": weak,
         "is_tridiagonal": tridiagonal,
-        "is_positive_definite": symmetric and _cholesky_succeeds(rows, n),
+        "is_positive_definite": symmetric
+        and (
+            _tridiagonal_cholesky_succeeds(*_tridiagonal_band(a))
+            if tridiagonal
+            else _cholesky_succeeds(rows, n)
+        ),
         "has_zero_diagonal": zero_diag,
     }
 
@@ -238,6 +276,82 @@ def _cholesky_succeeds(rows, n: int) -> bool:
                 s -= low[i][j] * low[k][j]
             low[i][k] = s / low[k][k]
     return True
+
+
+def _tridiagonal_band(a: Matrix) -> tuple[list[float], list[float]]:
+    """The diagonal and the subdiagonal (entries A[i+1][i]) of a square matrix."""
+    n = a.rows
+    if isinstance(a, DenseMatrix):
+        return [a.entries[i * (n + 1)] for i in range(n)], [
+            a.entries[(i + 1) * n + i] for i in range(n - 1)
+        ]
+    diag = [0.0] * n
+    sub = [0.0] * max(0, n - 1)
+    for i in range(n):
+        for j, v in a.row_items(i):
+            if j == i:
+                diag[i] = v
+            elif j == i - 1:
+                sub[j] = v
+    return diag, sub
+
+
+def _tridiagonal_cholesky_succeeds(diag, sub) -> bool:
+    # The dense factor of a tridiagonal matrix is bidiagonal: every other
+    # product the dense loop subtracts is an exact zero, so these are its
+    # pivots bit for bit.
+    low = 0.0
+    for k, d in enumerate(diag):
+        acc = d - low * low
+        if not (acc > 0.0):
+            return False
+        if k < len(sub):
+            low = sub[k] / math.sqrt(acc)
+    return True
+
+
+def _above_spectrum(e2, x: float) -> bool:
+    """Whether x exceeds every eigenvalue of the zero-diagonal symmetric
+    tridiagonal matrix whose squared off-diagonals are ``e2``: the LDL^T
+    pivots of x I - B must all be positive (Sturm count zero)."""
+    pivot = x
+    for v in e2:
+        if not (pivot > 0.0):
+            return False
+        pivot = x - v / pivot
+    return pivot > 0.0
+
+
+def _tridiagonal_jacobi_radius(diag, sub) -> float:
+    """rho_j of a symmetric tridiagonal matrix with a positive diagonal.
+
+    T_jacobi is similar to B = D^-1/2 (L + U) D^-1/2, which is symmetric
+    with zero diagonal and squared off-diagonals
+    e_i^2 = A[i+1][i]^2 / (A[i][i] A[i+1][i+1]), so its spectrum is
+    symmetric about 0 and rho_j is its largest eigenvalue.  Bisection
+    keeps lo at or below that eigenvalue and hi strictly above it until
+    the two are adjacent floats; hi is returned.  The e_i^2 are
+    invariant under power-of-two scaling, and so is the result.
+    """
+    e2 = [(s / diag[i]) * (s / diag[i + 1]) for i, s in enumerate(sub)]
+    if not any(e2):
+        return 0.0
+    e = [math.sqrt(v) for v in e2] + [0.0]
+    # Gershgorin bound; doubled in the rare case it is attained exactly.
+    hi = max(e[i - 1] + e[i] for i in range(len(e)))
+    if not math.isfinite(hi):
+        raise ValueError("the Jacobi iteration matrix overflows: diagonal too small")
+    while not _above_spectrum(e2, hi):
+        hi *= 2.0
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            return hi
+        if _above_spectrum(e2, mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def _candidates(rho_j, rho_g, rho_s, sor_omega):
@@ -266,16 +380,21 @@ def _best_method(rho_j, rho_g, rho_s, sor_omega):
 
 
 def classify(a: Matrix) -> MatrixProfile:
-    """Structure flags plus measured spectral radii for all three methods.
+    """Structure flags plus spectral radii for all three methods.
 
-    Jacobi and Gauss-Seidel radii are always measured.  SOR is measured
-    at the optimal weight when the matrix is SPD and tridiagonal with
-    rho_jacobi < 1, otherwise at the fixed fallback weight 1.5 with
-    ``omega_star`` left unset.  A zero diagonal leaves every radius unset
-    and recommends nothing.  Radii are estimated at a tolerance of 1e-10,
-    far below the public default: the recommended weight is fed back into
-    a measured SOR radius, and near the optimum that radius has a
-    square-root cusp that amplifies any error in rho_jacobi.
+    For a symmetric tridiagonal matrix with a positive diagonal the radii
+    are closed forms: rho_jacobi by Sturm-count bisection on the scaled
+    matrix D^-1/2 (L + U) D^-1/2, rho_gauss_seidel = rho_jacobi^2, and,
+    when the matrix is positive definite (so rho_jacobi < 1), SOR at the
+    optimal weight with radius omega_star - 1.  No iteration matrix is
+    built for these.
+
+    Every other radius is measured by power iteration on the dense
+    iteration matrix, SOR at the fixed fallback weight 1.5 with
+    ``omega_star`` left unset.  Those estimates use a tolerance of 1e-10,
+    far below the public default, and ``radii_converged`` records whether
+    they all settled.  A zero diagonal leaves every radius unset and
+    recommends nothing.
     """
     flags = structure_flags(a)
     if flags["has_zero_diagonal"]:
@@ -288,19 +407,29 @@ def classify(a: Matrix) -> MatrixProfile:
             sor_omega=None,
             recommendation="none convergent",
         )
-    rho_j = spectral_radius(iteration_matrix(a, Method.jacobi()).T, tol=_CLASSIFY_TOL).rho
-    rho_g = spectral_radius(
-        iteration_matrix(a, Method.gauss_seidel()).T, tol=_CLASSIFY_TOL
-    ).rho
+    estimates = []
+
+    def measured(method: Method) -> float:
+        est = spectral_radius(iteration_matrix(a, method).T, tol=_CLASSIFY_TOL)
+        estimates.append(est)
+        return est.rho
+
+    band = _tridiagonal_band(a) if flags["is_symmetric"] and flags["is_tridiagonal"] else None
+    if band is not None and all(d > 0.0 for d in band[0]):
+        rho_j = _tridiagonal_jacobi_radius(*band)
+        rho_g = rho_j * rho_j
+    else:
+        rho_j = measured(Method.jacobi())
+        rho_g = measured(Method.gauss_seidel())
+    # Positive definite and tridiagonal implies the closed-form branch above.
     if flags["is_positive_definite"] and flags["is_tridiagonal"] and rho_j < 1.0:
         omega_star = optimal_omega(rho_j)
         sor_omega = omega_star
+        rho_s = omega_star - 1.0
     else:
         omega_star = None
         sor_omega = _FALLBACK_OMEGA
-    rho_s = spectral_radius(
-        iteration_matrix(a, Method.sor(sor_omega)).T, tol=_CLASSIFY_TOL
-    ).rho
+        rho_s = measured(Method.sor(sor_omega))
     pick = _best_method(rho_j, rho_g, rho_s, sor_omega)
     return MatrixProfile(
         **flags,
@@ -310,6 +439,7 @@ def classify(a: Matrix) -> MatrixProfile:
         omega_star=omega_star,
         sor_omega=sor_omega,
         recommendation=pick[0] if pick is not None else "none convergent",
+        radii_converged=all(est.converged for est in estimates),
     )
 
 

@@ -298,7 +298,12 @@ def _profile_rho(profile, method: Method) -> float | None:
         return profile.rho_jacobi
     if method.tag == "gauss-seidel":
         return profile.rho_gauss_seidel
-    # The profiled SOR radius only transfers when the weights match.
+    if profile.omega_star is not None:
+        # Young's theory gives the radius at any weight from rho_jacobi.
+        from .convergence_analysis import sor_radius
+
+        return sor_radius(profile.rho_jacobi, method.omega)
+    # Otherwise the measured SOR radius only transfers when the weights match.
     if profile.rho_sor is not None and profile.sor_omega == method.omega:
         return profile.rho_sor
     return None
@@ -307,8 +312,9 @@ def _profile_rho(profile, method: Method) -> float | None:
 def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveReport:
     """Run a stationary method until the residual norm drops below eta.
 
-    When ``profile`` provides a spectral-radius estimate below 1 for the
-    configured method, the predicted iteration count is computed from the
+    When ``profile`` provides a spectral radius below 1 for the configured
+    method (for SOR: the profiled weight, or any weight when the profile
+    has an optimal weight), the predicted iteration count is computed from the
     first step and residual checks start only there; otherwise every
     iteration is checked.  Aborts with ``DivergenceError`` if an iterate
     exceeds 1e150 or stops being finite.

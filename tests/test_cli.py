@@ -73,6 +73,7 @@ class TestAnalyze:
             "sor_omega",
             "omega_star",
             "recommendation",
+            "radii_converged",
         ]
         assert list(payload["rho"]) == ["jacobi", "gauss_seidel", "sor"]
         assert payload["recommendation"] == "gauss-seidel"
@@ -88,6 +89,17 @@ class TestAnalyze:
         assert payload["has_zero_diagonal"] is True
         assert payload["rho"]["jacobi"] is None
         assert payload["recommendation"] == "none convergent"
+
+    def test_json_flags_unsettled_radii(self, capsys, tmp_path):
+        # Jacobi matrix [[0, I], [S, 0]] with S a Jordan block: power
+        # iteration on its defective dominant eigenvalues never settles.
+        path = tmp_path / "defective.mat"
+        path.write_text("dense 4 4\n1 0 -1 0\n0 1 0 -1\n-0.25 -1 1 0\n0 -0.25 0 1\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["radii_converged"] is False
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert "radii_converged" not in out
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", str(tmp_path / "nope.mat"))
@@ -323,6 +335,16 @@ class TestTrafficSolve:
         )
         assert pairs(out_jacobi)["method"] == "jacobi"
         assert int(pairs(out_jacobi)["iterations"]) > int(pairs(out_auto)["iterations"])
+
+    def test_forced_weight_gets_a_prediction(self, capsys, fixtures_dir):
+        aadt = str(fixtures_dir / "aadt_synthetic.csv")
+        code, out, _ = run(
+            capsys, "traffic", "solve", "--aadt", aadt, "--method", "sor", "--omega", "1.9"
+        )
+        got = pairs(out)
+        assert code == 0 and got["converged"] == "yes"
+        assert got["omega"] != got["omega_star"]
+        assert got["predicted"] == got["iterations"]
 
     def test_deterministic_output(self, capsys, fixtures_dir):
         aadt = str(fixtures_dir / "aadt_synthetic.csv")

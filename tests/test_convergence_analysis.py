@@ -7,20 +7,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import tridiag
+from conftest import ring_system, tridiag
 from ringsolve import (
     DenseMatrix,
     MatrixProfile,
     Method,
     NoConvergentMethodError,
+    SparseMatrix,
     classify,
     estimate_iterations,
     iteration_matrix,
     optimal_omega,
+    reduce,
     select_method,
+    sor_radius,
     spectral_radius,
     structure_flags,
 )
+from ringsolve.convergence_analysis import _cholesky_succeeds
 
 SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 
@@ -158,6 +162,30 @@ class TestOptimalOmega:
     def test_monotone_property(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert optimal_omega(lo) <= optimal_omega(hi)
+
+
+class TestSorRadius:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.5, 1.7, 1.95])
+    def test_matches_dense_eigenvalues_on_rings(self, n, omega):
+        a = reduce(*ring_system([0.0] * n)).normal_matrix
+        t = np.array(iteration_matrix(a, Method.sor(omega)).T.entries).reshape(n - 1, n - 1)
+        want = np.abs(np.linalg.eigvals(t)).max()
+        assert abs(sor_radius(math.cos(math.pi / n), omega) - want) <= 1e-12
+
+    def test_optimal_weight_gives_weight_minus_one(self):
+        omega = optimal_omega(0.99)
+        assert sor_radius(0.99, omega) == omega - 1.0
+
+    @pytest.mark.parametrize("rho_j, omega", [(1.0, 1.5), (-0.1, 1.5), (0.5, 0.0), (0.5, 2.0)])
+    def test_domain(self, rho_j, omega):
+        with pytest.raises(ValueError, match="SOR radius requires"):
+            sor_radius(rho_j, omega)
+
+    @given(st.floats(min_value=0.0, max_value=0.999), st.floats(min_value=0.01, max_value=1.99))
+    def test_optimal_weight_minimizes_property(self, rho_j, omega):
+        best = sor_radius(rho_j, optimal_omega(rho_j))
+        assert best <= sor_radius(rho_j, omega) + 1e-12
 
 
 class TestEstimateIterations:
@@ -344,6 +372,111 @@ class TestClassify:
         assert abs(other.rho_jacobi - base.rho_jacobi) < 1e-6
         assert abs(other.rho_gauss_seidel - base.rho_gauss_seidel) < 1e-6
         assert other.recommendation == base.recommendation
+
+
+def _tridiagonal(diag, sub):
+    n = len(diag)
+    rows = [[0.0] * n for _ in range(n)]
+    for i, d in enumerate(diag):
+        rows[i][i] = d
+    for i, v in enumerate(sub):
+        rows[i + 1][i] = rows[i][i + 1] = v
+    return rows
+
+
+def _dense_radius(a, method):
+    t = iteration_matrix(a, method).T
+    return float(np.abs(np.linalg.eigvals(np.array(t.entries).reshape(t.rows, t.cols))).max())
+
+
+class TestClosedFormRadii:
+    """Symmetric tridiagonal matrices with a positive diagonal."""
+
+    @pytest.mark.parametrize("exits", [4, 5, 7, 16, 32, 33, 64, 255, 512, 1024])
+    def test_ring_normal_matrices_match_analytic_radii(self, exits):
+        profile = classify(reduce(*ring_system([0.0] * exits)).normal_matrix)
+        c, s = math.cos(math.pi / exits), math.sin(math.pi / exits)
+        assert abs(profile.rho_jacobi - c) <= 1e-12
+        assert abs(profile.rho_gauss_seidel - c * c) <= 1e-12
+        assert abs(profile.omega_star - 2.0 / (1.0 + s)) <= 1e-12
+        assert abs(profile.rho_sor - (profile.omega_star - 1.0)) <= 1e-12
+        assert profile.sor_omega == profile.omega_star
+        assert profile.radii_converged
+
+    def test_sparse_input_gives_identical_profile(self):
+        a = tridiag(9)
+        assert classify(SparseMatrix.from_dense(a)) == classify(a)
+
+    @given(
+        st.lists(st.floats(min_value=0.25, max_value=8.0), min_size=2, max_size=8),
+        st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=7, max_size=7),
+        st.sampled_from([0.5, 2.0]),
+    )
+    def test_radii_match_dense_eigenvalues_property(self, diag, coupling, reach):
+        # reach 0.5 keeps every scaled off-diagonal below 1/2, so the
+        # matrix is positive definite; reach 2.0 is often indefinite.
+        sub = [
+            reach * c * math.sqrt(diag[i] * diag[i + 1])
+            for i, c in enumerate(coupling[: len(diag) - 1])
+        ]
+        rows = _tridiagonal(diag, sub)
+        a = DenseMatrix.from_rows(rows)
+        profile = classify(a)
+        if reach == 0.5:
+            assert profile.is_positive_definite
+        assert profile.is_positive_definite == _cholesky_succeeds(rows, len(diag))
+
+        want_j = _dense_radius(a, Method.jacobi())
+        want_g = _dense_radius(a, Method.gauss_seidel())
+        assert abs(profile.rho_jacobi - want_j) <= 1e-12 * max(1.0, want_j)
+        assert abs(profile.rho_gauss_seidel - want_g) <= 1e-12 * max(1.0, want_g)
+        want_s = _dense_radius(a, Method.sor(profile.sor_omega))
+        if profile.omega_star is not None:
+            # T at the optimal weight has a 2x2 Jordan block, so the dense
+            # eigenvalue solver itself is only good to about sqrt(eps).
+            assert abs(profile.rho_sor - want_s) <= 1e-6
+            assert profile.radii_converged
+        elif profile.radii_converged:
+            assert abs(profile.rho_sor - want_s) <= 1e-6 * max(1.0, want_s)
+
+    @given(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=7),
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=6, max_size=6),
+    )
+    def test_banded_positive_definite_flag_matches_dense_cholesky_property(self, diag, sub):
+        rows = _tridiagonal([float(d) for d in diag], [float(v) for v in sub[: len(diag) - 1]])
+        flags = structure_flags(DenseMatrix.from_rows(rows))
+        assert flags["is_tridiagonal"] and flags["is_symmetric"]
+        assert flags["is_positive_definite"] == _cholesky_succeeds(rows, len(diag))
+
+    def test_overflowing_scaled_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            classify(DenseMatrix.from_rows([[1e-200, 1e200], [1e200, 1e-200]]))
+
+    def test_indefinite_matrix_measures_sor_at_fallback_weight(self):
+        a = DenseMatrix.from_rows(_tridiagonal([1.0, 1.0, 1.0], [0.9, 0.9]))
+        profile = classify(a)
+        assert not profile.is_positive_definite
+        assert abs(profile.rho_jacobi - 0.9 * math.sqrt(2.0)) <= 1e-15
+        assert profile.omega_star is None and profile.sor_omega == 1.5
+        assert abs(profile.rho_sor - _dense_radius(a, Method.sor(1.5))) <= 1e-6
+        assert profile.radii_converged
+
+    def test_unsettled_power_estimate_is_flagged(self):
+        # T_jacobi = [[0, I], [S, 0]] with S a Jordan block: the dominant
+        # eigenvalues +-0.5 are defective, so power iteration never settles.
+        t = [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.25, 1.0, 0.0, 0.0],
+            [0.0, 0.25, 0.0, 0.0],
+        ]
+        a = DenseMatrix.from_rows(
+            [[(1.0 if i == j else 0.0) - t[i][j] for j in range(4)] for i in range(4)]
+        )
+        profile = classify(a)
+        assert not profile.radii_converged
+        assert abs(profile.rho_jacobi - 0.5) < 1e-3
 
 
 class TestTridiagonalLaws:

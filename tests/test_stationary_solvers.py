@@ -277,6 +277,17 @@ class TestSolve:
         report = solve(SEC21, SEC21_B, SolverConfig(method=Method.sor(1.5), eta=1e-6), profile)
         assert report.predicted_iterations is not None
 
+    @pytest.mark.parametrize("omega", [0.8, 1.2, 1.9])
+    def test_any_sor_weight_predicted_when_profile_has_optimal_weight(self, omega):
+        a = tridiag(10)
+        b = Vector(tuple(float(i % 3 - 1) for i in range(10)))
+        profile = classify(a)
+        assert profile.omega_star is not None and omega != profile.sor_omega
+        report = solve(a, b, SolverConfig(method=Method.sor(omega), eta=1e-6), profile)
+        assert report.converged
+        assert report.predicted_iterations is not None
+        assert report.iterations_run >= report.predicted_iterations
+
     def test_divergence_raises_with_iteration_index(self):
         a = DenseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]])
         config = SolverConfig(method=Method.jacobi(), eta=1e-3, max_iterations=10000)
