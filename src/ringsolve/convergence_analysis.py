@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergentMethodError
-from .matrix_core import DenseMatrix, Matrix, _require_square
+from .matrix_core import DenseMatrix, Matrix, SparseMatrix, _csr, _require_square
 from .stationary_solvers import Method, iteration_matrix
 
 __all__ = [
@@ -220,32 +220,44 @@ def estimate_iterations(eta: float, rho: float, norm_a: float, first_step: float
 def structure_flags(a: Matrix) -> dict[str, bool]:
     """The six structure flags of a profile, by definitional checks.
 
-    Symmetry, tridiagonality, and zero diagonals are exact comparisons;
-    dominance compares each |A_ii| against its off-diagonal row sum;
-    positive definiteness attempts a Cholesky factorization (only for
-    symmetric matrices) and reports whether every pivot stays positive.
-    A tridiagonal matrix is factored on its bidiagonal factor in O(n),
-    which meets the same pivots as the dense factorization.
+    Runs in O(nnz) on the CSR rows.  Symmetry looks up the transpose of
+    each stored entry, tridiagonality and zero diagonals are exact
+    comparisons, and dominance compares each |A_ii| against its
+    off-diagonal row sum, all over the stored entries.  Positive
+    definiteness is tested only for symmetric matrices, by a Cholesky
+    factorization that must keep every pivot positive: a tridiagonal
+    matrix is factored on its bidiagonal factor in O(n), which meets the
+    same pivots as the dense factorization; any other is factored densely.
     """
     n = _require_square(a)
-    rows = (a if isinstance(a, DenseMatrix) else a.to_dense()).to_rows()
-    symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+    a = _csr(a)
+    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
+    stored = {}
+    for i in range(n):
+        for p in range(offsets[i], offsets[i + 1]):
+            stored[i, cols[p]] = vals[p]
+    symmetric = all(stored.get((j, i), 0.0) == v for (i, j), v in stored.items())
     strict = True
     weak = True
+    tridiagonal = True
+    zero_diag = False
     for i in range(n):
+        d = 0.0
         off = 0.0
-        for j in range(n):
-            if j != i:
-                off += abs(rows[i][j])
-        d = abs(rows[i][i])
+        for p in range(offsets[i], offsets[i + 1]):
+            j, v = cols[p], vals[p]
+            if j == i:
+                d = abs(v)
+            else:
+                off += abs(v)
+                if abs(i - j) > 1 and v != 0.0:
+                    tridiagonal = False
         if not (d > off):
             strict = False
         if not (d >= off):
             weak = False
-    tridiagonal = all(
-        rows[i][j] == 0.0 for i in range(n) for j in range(n) if abs(i - j) > 1
-    )
-    zero_diag = any(rows[i][i] == 0.0 for i in range(n))
+        if d == 0.0:
+            zero_diag = True
     return {
         "is_symmetric": symmetric,
         "is_strictly_diag_dominant": strict,
@@ -255,7 +267,7 @@ def structure_flags(a: Matrix) -> dict[str, bool]:
         and (
             _tridiagonal_cholesky_succeeds(*_tridiagonal_band(a))
             if tridiagonal
-            else _cholesky_succeeds(rows, n)
+            else _cholesky_succeeds(a.to_dense().to_rows(), n)
         ),
         "has_zero_diagonal": zero_diag,
     }
@@ -278,13 +290,9 @@ def _cholesky_succeeds(rows, n: int) -> bool:
     return True
 
 
-def _tridiagonal_band(a: Matrix) -> tuple[list[float], list[float]]:
+def _tridiagonal_band(a: SparseMatrix) -> tuple[list[float], list[float]]:
     """The diagonal and the subdiagonal (entries A[i+1][i]) of a square matrix."""
     n = a.rows
-    if isinstance(a, DenseMatrix):
-        return [a.entries[i * (n + 1)] for i in range(n)], [
-            a.entries[(i + 1) * n + i] for i in range(n - 1)
-        ]
     diag = [0.0] * n
     sub = [0.0] * max(0, n - 1)
     for i in range(n):
@@ -396,6 +404,7 @@ def classify(a: Matrix) -> MatrixProfile:
     they all settled.  A zero diagonal leaves every radius unset and
     recommends nothing.
     """
+    a = _csr(a)
     flags = structure_flags(a)
     if flags["has_zero_diagonal"]:
         return MatrixProfile(

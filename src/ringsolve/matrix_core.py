@@ -1,11 +1,18 @@
-"""Dense and sparse matrix building blocks.
+"""Matrix building blocks on one storage path: compressed sparse rows.
+
+``DenseMatrix`` is the row-major form that files, direct elimination and
+iteration matrices use.  Every other routine here computes on
+``SparseMatrix`` (CSR): a dense argument is converted once on entry with
+``SparseMatrix.from_dense``, which stores every entry that is not exactly
++0.0.  Banded systems therefore never become n x n objects.
 
 All arithmetic is 64-bit floating point.  Every row sum and inner product
-accumulates strictly left to right (ascending index), which keeps results
-reproducible and makes the dense and sparse code paths agree entry for entry
-on matching inputs.  The D - L - U splitting stores the negated strict
-triangles of A so that recomposing D - L - U reproduces A without performing
-any arithmetic beyond unary negation.
+accumulates strictly left to right (ascending index), starting from +0.0.
+Such a sum never becomes -0.0, and adding a product with an unstored zero
+leaves it unchanged, so a CSR routine gives bit for bit what the textbook
+dense loop gives on the same matrix.  The D - L - U splitting stores the
+negated strict triangles of A so that recomposing D - L - U reproduces A
+without performing any arithmetic beyond unary negation.
 """
 
 from __future__ import annotations
@@ -228,22 +235,20 @@ def _require_square(a: Matrix) -> int:
     return a.rows
 
 
-def _matvec_list(a: Matrix, x) -> list[float]:
+def _csr(a: Matrix) -> SparseMatrix:
+    """``a`` itself when it is CSR, else its CSR form."""
+    return a if isinstance(a, SparseMatrix) else SparseMatrix.from_dense(a)
+
+
+def _matvec_list(a: SparseMatrix, x) -> list[float]:
     """Row sums accumulated left to right; ``x`` is any indexable of floats."""
+    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
     out = []
-    if isinstance(a, DenseMatrix):
-        for i in range(a.rows):
-            base = i * a.cols
-            acc = 0.0
-            for j in range(a.cols):
-                acc += a.entries[base + j] * x[j]
-            out.append(acc)
-    else:
-        for i in range(a.rows):
-            acc = 0.0
-            for j, v in a.row_items(i):
-                acc += v * x[j]
-            out.append(acc)
+    for i in range(a.rows):
+        acc = 0.0
+        for p in range(offsets[i], offsets[i + 1]):
+            acc += vals[p] * x[cols[p]]
+        out.append(acc)
     return out
 
 
@@ -251,25 +256,20 @@ def matvec(a: Matrix, x: Vector) -> Vector:
     """The product A x."""
     if a.cols != len(x):
         raise ValueError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
-    return Vector(tuple(_matvec_list(a, x.entries)))
+    return Vector(tuple(_matvec_list(_csr(a), x.entries)))
 
 
 def transpose_matvec(a: Matrix, v: Vector) -> Vector:
     """The product A^T v, accumulated in ascending row order."""
     if a.rows != len(v):
         raise ValueError(f"matrix has {a.rows} rows but vector has {len(v)} entries")
+    a = _csr(a)
+    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
     out = [0.0] * a.cols
-    if isinstance(a, DenseMatrix):
-        for i in range(a.rows):
-            base = i * a.cols
-            vi = v[i]
-            for j in range(a.cols):
-                out[j] += a.entries[base + j] * vi
-    else:
-        for i in range(a.rows):
-            vi = v[i]
-            for j, val in a.row_items(i):
-                out[j] += val * vi
+    for i in range(a.rows):
+        vi = v[i]
+        for p in range(offsets[i], offsets[i + 1]):
+            out[cols[p]] += vals[p] * vi
     return Vector(tuple(out))
 
 
@@ -281,70 +281,73 @@ def split_dlu(a: Matrix) -> TriangularSplit:
     reproduces A bit for bit.
     """
     n = _require_square(a)
+    a = _csr(a)
+    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
     diag = [0.0] * n
     lo_off, lo_cols, lo_vals = [0], [], []
     up_off, up_cols, up_vals = [0], [], []
-    if isinstance(a, DenseMatrix):
-        for i in range(n):
-            for j in range(n):
-                v = a.entry(i, j)
-                if j == i:
-                    diag[i] = v
-                elif not _is_positive_zero(v):
-                    if j < i:
-                        lo_cols.append(j)
-                        lo_vals.append(-v)
-                    else:
-                        up_cols.append(j)
-                        up_vals.append(-v)
-            lo_off.append(len(lo_vals))
-            up_off.append(len(up_vals))
-    else:
-        for i in range(n):
-            for j, v in a.row_items(i):
-                if j == i:
-                    diag[i] = v
-                elif j < i:
-                    lo_cols.append(j)
-                    lo_vals.append(-v)
-                else:
-                    up_cols.append(j)
-                    up_vals.append(-v)
-            lo_off.append(len(lo_vals))
-            up_off.append(len(up_vals))
+    for i in range(n):
+        for p in range(offsets[i], offsets[i + 1]):
+            j, v = cols[p], vals[p]
+            if j == i:
+                diag[i] = v
+            elif j < i:
+                lo_cols.append(j)
+                lo_vals.append(-v)
+            else:
+                up_cols.append(j)
+                up_vals.append(-v)
+        lo_off.append(len(lo_vals))
+        up_off.append(len(up_vals))
     lower = SparseMatrix(n, n, tuple(lo_off), tuple(lo_cols), tuple(lo_vals))
     upper = SparseMatrix(n, n, tuple(up_off), tuple(up_cols), tuple(up_vals))
     return TriangularSplit(Vector(tuple(diag)), lower, upper)
 
 
-def gram(a: Matrix) -> DenseMatrix:
-    """The normal matrix A^T A.
+def gram(a: Matrix) -> SparseMatrix:
+    """The normal matrix A^T A in CSR form.
 
-    The upper triangle is accumulated in ascending row order and mirrored,
-    so the result is exactly symmetric.  Requires rows >= cols.
+    Entry (k, l) with k <= l is the sum of A[i][k] * A[i][l] over the rows
+    i that store both columns, in ascending row order: the dense triple
+    loop's sum without its products with unstored zeros, so the same
+    value bit for bit.  The lower triangle mirrors the upper, so the
+    result is exactly symmetric.  Entries that sum to exactly +0.0 are not
+    stored, as in ``SparseMatrix.from_dense``.  Requires rows >= cols.
     """
     if a.rows < a.cols:
         raise ValueError(f"matrix is {a.rows}x{a.cols}; gram needs rows >= cols")
+    a = _csr(a)
     n = a.cols
-    flat = [0.0] * (n * n)
-    if isinstance(a, DenseMatrix):
-        for k in range(n):
-            for l in range(k, n):
-                acc = 0.0
-                for i in range(a.rows):
-                    acc += a.entries[i * n + k] * a.entries[i * n + l]
-                flat[k * n + l] = acc
-                flat[l * n + k] = acc
-    else:
-        for i in range(a.rows):
-            items = list(a.row_items(i))
-            for p, (jk, vk) in enumerate(items):
-                for jl, vl in items[p:]:
-                    flat[jk * n + jl] += vk * vl
-        for k in range(n):
-            for l in range(k + 1, n):
-                flat[l * n + k] = flat[k * n + l]
-    return DenseMatrix(n, n, tuple(flat))
+    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
+    upper: list[dict[int, float]] = [{} for _ in range(n)]
+    for i in range(a.rows):
+        hi = offsets[i + 1]
+        for p in range(offsets[i], hi):
+            vk = vals[p]
+            row = upper[cols[p]]
+            for q in range(p, hi):
+                l = cols[q]
+                row[l] = row.get(l, 0.0) + vk * vals[q]
+    # lower[l] collects the mirrored (k, value) pairs with k < l; rows are
+    # emitted in ascending order, so each is complete and sorted when used.
+    lower: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    out_off = [0]
+    out_cols: list[int] = []
+    out_vals: list[float] = []
+    for k in range(n):
+        for j, v in lower[k]:
+            out_cols.append(j)
+            out_vals.append(v)
+        for l in sorted(upper[k]):
+            v = upper[k][l]
+            if _is_positive_zero(v):
+                continue
+            out_cols.append(l)
+            out_vals.append(v)
+            if l > k:
+                lower[l].append((k, v))
+        out_off.append(len(out_vals))
+    return SparseMatrix(n, n, tuple(out_off), tuple(out_cols), tuple(out_vals))
 
 
 _PIVOT_RTOL = 1e-12
@@ -422,17 +425,12 @@ def norm2(v: Vector | list[float] | tuple[float, ...]) -> float:
 
 def inf_norm(a: Matrix) -> float:
     """Maximum absolute row sum."""
+    a = _csr(a)
+    offsets, vals = a.row_offsets, a.values
     best = 0.0
-    if isinstance(a, DenseMatrix):
-        for i in range(a.rows):
-            acc = 0.0
-            for j in range(a.cols):
-                acc += abs(a.entry(i, j))
-            best = max(best, acc)
-    else:
-        for i in range(a.rows):
-            acc = 0.0
-            for _, v in a.row_items(i):
-                acc += abs(v)
-            best = max(best, acc)
+    for i in range(a.rows):
+        acc = 0.0
+        for p in range(offsets[i], offsets[i + 1]):
+            acc += abs(vals[p])
+        best = max(best, acc)
     return best

@@ -20,12 +20,15 @@ from .errors import DivergenceError, ZeroDiagonalError
 from .matrix_core import (
     DenseMatrix,
     Matrix,
+    SparseMatrix,
     TriangularSplit,
     Vector,
+    _csr,
     _matvec_list,
     _require_square,
     inf_norm,
     matvec,
+    norm2,
     split_dlu,
 )
 
@@ -282,13 +285,59 @@ def residual(a: Matrix, x: Vector, b: Vector) -> Vector:
     return Vector(tuple(bi - yi for bi, yi in zip(b.entries, y.entries)))
 
 
-def _residual_norm(a: Matrix, xs, b) -> float:
+def _residual_norm(a: SparseMatrix, xs, b) -> float:
     y = _matvec_list(a, xs)
     acc = 0.0
     for bi, yi in zip(b, y):
         r = bi - yi
         acc += r * r
     return math.sqrt(acc)
+
+
+def _sweep_fn(split: TriangularSplit, method: Method, b: Vector):
+    """One sweep of ``method`` as a function from list to list of floats."""
+    d, lower, upper = _split_parts(split)
+    _check_diag(d)
+    bs = b.entries
+    if method.tag == "jacobi":
+        return lambda xs: _jacobi_raw(d, lower, upper, xs, bs)
+    if method.tag == "gauss-seidel":
+        return lambda xs: _gs_raw(d, lower, upper, xs, bs)
+    omega = float(method.omega)
+    return lambda xs: _sor_raw(d, lower, upper, xs, bs, omega)
+
+
+def _check_iterate(xs, k: int) -> None:
+    """Raise ``DivergenceError`` if an entry is not finite or exceeds 1e150."""
+    # A sum of magnitudes is NaN or infinite when an entry is, and no
+    # smaller than its largest term, so one sum clears a sane iterate; the
+    # entry loop runs only to confirm a failure.
+    if sum(map(abs, xs)) <= _DIVERGENCE_BOUND:
+        return
+    for v in xs:
+        if not math.isfinite(v) or abs(v) > _DIVERGENCE_BOUND:
+            raise DivergenceError(f"iterate diverged at iteration {k}")
+
+
+def _first_sweep(step, x0, rho: float | None, norm_a: float, config: SolverConfig):
+    """The first iterate x1 = step(x0) and the a priori count it implies.
+
+    The count is ``estimate_iterations`` with first step ||x1 - x0||_2 and
+    ``norm_a`` = ||A||_inf, capped at ``config.max_iterations``.  It is
+    None when ``rho`` is not in (0, 1) or x1 equals x0.  Raises
+    ``DivergenceError`` for an x1 that ``solve`` would reject.
+    """
+    x1 = step(x0)
+    _check_iterate(x1, 1)
+    if rho is None or not (0.0 < rho < 1.0):
+        return x1, None
+    first_step = norm2([new - old for new, old in zip(x1, x0)])
+    if not first_step > 0.0:
+        return x1, None
+    from .convergence_analysis import estimate_iterations
+
+    count = estimate_iterations(config.eta, rho, norm_a, first_step)
+    return x1, min(count, config.max_iterations)
 
 
 def _profile_rho(profile, method: Method) -> float | None:
@@ -325,22 +374,14 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     n = _require_square(a)
     if len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
-    split = split_dlu(a)
-    d, lower, upper = _split_parts(split)
-    _check_diag(d)
+    a = _csr(a)
+    step = _sweep_fn(split_dlu(a), method, b)
     x0 = config.initial_guess if config.initial_guess is not None else Vector.zeros(n)
     if len(x0) != n:
         raise ValueError(f"initial guess has {len(x0)} entries, expected {n}")
 
-    omega = method.omega
-    if method.tag == "jacobi":
-        step = lambda xs: _jacobi_raw(d, lower, upper, xs, b.entries)
-    elif method.tag == "gauss-seidel":
-        step = lambda xs: _gs_raw(d, lower, upper, xs, b.entries)
-    else:
-        step = lambda xs: _sor_raw(d, lower, upper, xs, b.entries, omega)
-
     rho = _profile_rho(profile, method)
+    norm_a = inf_norm(a)
     eta = config.eta
     stride = config.history_stride
     history: list[tuple[int, float]] = []
@@ -355,25 +396,13 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     final_k = 0
     final_rnorm = math.inf
     for k in range(1, config.max_iterations + 1):
-        xn = step(xs)
-        for v in xn:
-            if not math.isfinite(v) or abs(v) > _DIVERGENCE_BOUND:
-                raise DivergenceError(f"iterate diverged at iteration {k}")
-        if k == 1 and rho is not None and 0.0 < rho < 1.0:
-            acc = 0.0
-            for new, old in zip(xn, xs):
-                dv = new - old
-                acc += dv * dv
-            first_step = math.sqrt(acc)
-            if first_step > 0.0:
-                from .convergence_analysis import estimate_iterations
-
-                predicted = min(
-                    estimate_iterations(eta, rho, inf_norm(a), first_step),
-                    config.max_iterations,
-                )
+        if k == 1:
+            xs, predicted = _first_sweep(step, xs, rho, norm_a, config)
+            if predicted is not None:
                 first_check = predicted
-        xs = xn
+        else:
+            xs = step(xs)
+            _check_iterate(xs, k)
         rnorm: float | None = None
         if k % stride == 0:
             rnorm = _residual_norm(a, xs, b.entries)

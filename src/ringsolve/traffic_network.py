@@ -17,13 +17,13 @@ import math
 import statistics
 from dataclasses import dataclass, replace
 
-from .convergence_analysis import MatrixProfile, classify, estimate_iterations, select_method
+from .convergence_analysis import MatrixProfile, classify, select_method
 from .errors import ReductionError
 from .matrix_core import (
-    DenseMatrix,
     Matrix,
     SparseMatrix,
     Vector,
+    _csr,
     _matvec_list,
     _require_square,
     gram,
@@ -36,11 +36,10 @@ from .stationary_solvers import (
     Method,
     SolverConfig,
     SolveReport,
-    gauss_seidel_sweep,
-    jacobi_sweep,
+    _first_sweep,
+    _sweep_fn,
     residual,
     solve,
-    sor_sweep,
 )
 
 __all__ = [
@@ -179,11 +178,13 @@ class ReducedSystem:
 
     ``a_tilde`` is the m x (m-1) rectangular matrix, ``normal_matrix`` and
     ``normal_rhs`` the square normal-equation system of its least-squares
-    problem, and ``dropped_column`` the index of the removed unknown.
+    problem, and ``dropped_column`` the index of the removed unknown.  Both
+    matrices are CSR; for a ring the normal matrix is tridiagonal with
+    3 (m - 1) - 2 stored entries.
     """
 
     a_tilde: SparseMatrix
-    normal_matrix: DenseMatrix
+    normal_matrix: SparseMatrix
     normal_rhs: Vector
     dropped_column: int
 
@@ -278,23 +279,24 @@ def reduce(a: Matrix, b: Vector) -> ReducedSystem:
 
     Requires A times the all-ones vector to vanish (within 1e-9), the
     structure that makes exactly one column redundant.  The returned
-    normal equations are square and, for ring inputs, the SPD tridiagonal
-    matrix with 2 on the diagonal and -1 off it.
+    normal equations are square and CSR, built by ``gram`` without a
+    dense intermediate; for ring inputs the normal matrix is the SPD
+    tridiagonal matrix with 2 on the diagonal and -1 off it.
     """
     m = _require_square(a)
     if len(b) != m:
         raise ValueError(f"matrix has {m} rows but b has {len(b)} entries")
     if m < 2:
         raise ValueError("cannot reduce a 1x1 system")
+    a = _csr(a)
     drift = _matvec_list(a, [1.0] * m)
     if max(abs(v) for v in drift) > _BALANCE_TOL:
         raise ReductionError("matrix is not circulant-balanced; reduction inapplicable")
-    sparse = a if isinstance(a, SparseMatrix) else SparseMatrix.from_dense(a)
     offsets = [0]
     col_indices: list[int] = []
     values: list[float] = []
     for i in range(m):
-        for j, v in sparse.row_items(i):
+        for j, v in a.row_items(i):
             if j < m - 1:
                 col_indices.append(j)
                 values.append(v)
@@ -369,35 +371,26 @@ def close_exits(network: FlowNetwork, exit_ids) -> FlowNetwork:
     return FlowNetwork(tuple(remaining), tuple(branches))
 
 
-def _one_sweep(split, method: Method, x0: Vector, rhs: Vector) -> Vector:
-    if method.tag == "jacobi":
-        return jacobi_sweep(split, x0, rhs)
-    if method.tag == "gauss-seidel":
-        return gauss_seidel_sweep(split, x0, rhs)
-    return sor_sweep(split, x0, rhs, method.omega)
-
-
 def _predicted_counts(red: ReducedSystem, profile: MatrixProfile, config: SolverConfig):
     candidates = (
         (Method.jacobi(), profile.rho_jacobi),
         (Method.gauss_seidel(), profile.rho_gauss_seidel),
         (Method.sor(profile.sor_omega), profile.rho_sor) if profile.sor_omega else (None, None),
     )
+    n = red.normal_matrix.rows
+    x0 = list(config.initial_guess.entries) if config.initial_guess is not None else [0.0] * n
+    if len(x0) != n:
+        raise ValueError(f"initial guess has {len(x0)} entries, expected {n}")
     split = split_dlu(red.normal_matrix)
-    x0 = config.initial_guess if config.initial_guess is not None else Vector.zeros(
-        red.normal_matrix.rows
-    )
     norm_a = inf_norm(red.normal_matrix)
     counts: dict[str, int] = {}
     for method, rho in candidates:
         if method is None or rho is None or not (0.0 < rho < 1.0):
             continue
-        x1 = _one_sweep(split, method, x0, rhs=red.normal_rhs)
-        first = norm2(Vector(tuple(a - b for a, b in zip(x1.entries, x0.entries))))
-        if first > 0.0:
-            counts[method.tag] = min(
-                estimate_iterations(config.eta, rho, norm_a, first), config.max_iterations
-            )
+        step = _sweep_fn(split, method, red.normal_rhs)
+        _, count = _first_sweep(step, x0, rho, norm_a, config)
+        if count is not None:
+            counts[method.tag] = count
     return counts or None
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,9 @@ def pairs(out: str) -> dict:
         if len(parts) == 2:
             got[parts[0]] = parts[1]
     return got
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -431,3 +435,36 @@ class TestTopLevel:
         assert result.returncode == 0
         assert "recommendation" in result.stdout
         assert "gauss-seidel" in result.stdout
+
+
+class TestGoldenOutput:
+    """Plain output pinned byte for byte.
+
+    The files under ``tests/golden`` were written by the dense-storage
+    implementation that the CSR core replaced; storage must not change
+    a single printed digit.
+    """
+
+    def test_solve_and_history(self, capsys, sec21, tmp_path):
+        history = tmp_path / "history.csv"
+        code, out, err = run(capsys, "solve", *sec21, "--history", str(history))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "sec21_solve.out").read_text()
+        assert history.read_text() == (GOLDEN / "sec21_history.csv").read_text()
+
+    def test_analyze_json(self, capsys, sec21):
+        code, out, err = run(capsys, "analyze", "--json", sec21[0])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "sec21_analyze.json").read_text()
+
+    def test_traffic_solve_network(self, capsys, fixtures_dir):
+        code, out, _ = run(capsys, "traffic", "solve", str(fixtures_dir / "fig1.network"))
+        assert code == 0
+        assert out == (GOLDEN / "fig1_traffic_solve.out").read_text()
+
+    def test_traffic_solve_aadt(self, capsys, fixtures_dir):
+        code, out, _ = run(
+            capsys, "traffic", "solve", "--aadt", str(fixtures_dir / "aadt_synthetic.csv")
+        )
+        assert code == 0
+        assert out == (GOLDEN / "aadt_traffic_solve.out").read_text()

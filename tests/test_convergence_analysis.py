@@ -28,6 +28,66 @@ from ringsolve.convergence_analysis import _cholesky_succeeds
 
 SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 
+signed_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+)
+
+
+@st.composite
+def flagged_matrices(draw):
+    """(DenseMatrix, SparseMatrix) of one square matrix that is, by draw,
+    symmetric, tridiagonal, both or neither, with signed zeros; the sparse
+    form also stores a random subset of the +0.0 entries."""
+    shape = draw(st.sampled_from(["symmetric", "symmetric tridiagonal", "tridiagonal", "any"]))
+    symmetric = shape.startswith("symmetric")
+    tridiagonal = shape.endswith("tridiagonal")
+    n = draw(st.integers(1, 6))
+    shift = draw(st.sampled_from([0.0, 4.0, 30.0]))
+    rows = [[draw(signed_entries) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][i] += shift
+        for j in range(n):
+            if tridiagonal and abs(i - j) > 1:
+                rows[i][j] = draw(st.sampled_from([0.0, -0.0]))
+            elif symmetric and j < i:
+                v = rows[j][i]
+                rows[i][j] = draw(st.sampled_from([0.0, -0.0])) if v == 0.0 else v
+    offsets, col_indices, stored = [0], [], []
+    for row in rows:
+        for j, v in enumerate(row):
+            if v != 0.0 or math.copysign(1.0, v) < 0.0 or draw(st.booleans()):
+                col_indices.append(j)
+                stored.append(v)
+        offsets.append(len(stored))
+    return (
+        DenseMatrix.from_rows(rows),
+        SparseMatrix(n, n, tuple(offsets), tuple(col_indices), tuple(stored)),
+    )
+
+
+def definitional_flags(rows):
+    n = len(rows)
+    symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+    strict = weak = True
+    for i in range(n):
+        off = 0.0
+        for j in range(n):
+            if j != i:
+                off += abs(rows[i][j])
+        strict = strict and abs(rows[i][i]) > off
+        weak = weak and abs(rows[i][i]) >= off
+    return {
+        "is_symmetric": symmetric,
+        "is_strictly_diag_dominant": strict,
+        "is_weakly_diag_dominant": weak,
+        "is_tridiagonal": all(
+            rows[i][j] == 0.0 for i in range(n) for j in range(n) if abs(i - j) > 1
+        ),
+        "is_positive_definite": symmetric and _cholesky_succeeds(rows, n),
+        "has_zero_diagonal": any(rows[i][i] == 0.0 for i in range(n)),
+    }
+
 
 def profile_with(rho_j=None, rho_g=None, rho_s=None, sor_omega=None, **flag_overrides):
     flags = {
@@ -304,6 +364,13 @@ class TestStructureFlags:
             assert flags["is_positive_definite"] == bool((eigs > 0.0).all())
         else:
             assert not flags["is_positive_definite"]
+
+    @given(flagged_matrices())
+    def test_csr_flags_match_dense_and_definitions(self, pair):
+        dense, sparse = pair
+        want = definitional_flags(dense.to_rows())
+        assert structure_flags(sparse) == want
+        assert structure_flags(dense) == want
 
 
 class TestClassify:

@@ -35,6 +35,37 @@ def square(n, values):
     return DenseMatrix(n, n, tuple(values))
 
 
+# Signed zeros, products that underflow to a signed zero, and small
+# integers whose products cancel exactly.
+signed_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 1e-200, -1e-200]),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+
+
+@st.composite
+def stored_matrices(draw):
+    """(DenseMatrix, SparseMatrix) of one square or tall matrix; the sparse
+    form stores every nonzero and -0.0 entry plus a random subset of the
+    +0.0 ones."""
+    cols = draw(st.integers(1, 5))
+    rows = cols + draw(st.sampled_from([0, 0, 1, 2, 3]))
+    values = draw(st.lists(signed_entries, min_size=rows * cols, max_size=rows * cols))
+    keep = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    offsets, col_indices, stored = [0], [], []
+    for i in range(rows):
+        for j in range(cols):
+            v = values[i * cols + j]
+            if v != 0.0 or math.copysign(1.0, v) < 0.0 or keep[i * cols + j]:
+                col_indices.append(j)
+                stored.append(v)
+        offsets.append(len(stored))
+    return (
+        DenseMatrix(rows, cols, tuple(values)),
+        SparseMatrix(rows, cols, tuple(offsets), tuple(col_indices), tuple(stored)),
+    )
+
+
 class TestVector:
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="vector entry 1 is not finite"):
@@ -220,12 +251,12 @@ class TestSplitDlu:
 
 class TestGram:
     def test_identity(self):
-        assert gram(DenseMatrix.identity(3)) == DenseMatrix.identity(3)
+        assert gram(DenseMatrix.identity(3)).to_dense() == DenseMatrix.identity(3)
 
     def test_ring_with_dropped_column(self):
         ring = ring_matrix(4).to_dense()
         tall = DenseMatrix(4, 3, tuple(v for i in range(4) for v in ring.row(i)[:3]))
-        assert gram(tall).to_rows() == [
+        assert gram(tall).to_dense().to_rows() == [
             [2.0, -1.0, 0.0],
             [-1.0, 2.0, -1.0],
             [0.0, -1.0, 2.0],
@@ -234,7 +265,7 @@ class TestGram:
     def test_exactly_symmetric_and_nonnegative_quadratic_form(self):
         rnd = random.Random(3)
         rows = [[rnd.uniform(-3, 3) for _ in range(4)] for _ in range(6)]
-        g = gram(DenseMatrix.from_rows(rows))
+        g = gram(DenseMatrix.from_rows(rows)).to_dense()
         for i in range(4):
             for j in range(4):
                 assert bits(g.entry(i, j)) == bits(g.entry(j, i))
@@ -251,6 +282,25 @@ class TestGram:
     def test_sparse_matches_dense(self):
         dense = DenseMatrix.from_rows([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
         assert gram(SparseMatrix.from_dense(dense)) == gram(dense)
+
+    @given(stored_matrices())
+    def test_matches_dense_triple_loop_bit_for_bit(self, pair):
+        dense, sparse = pair
+        m, n = dense.rows, dense.cols
+        want = [0.0] * (n * n)
+        for k in range(n):
+            for l in range(k, n):
+                acc = 0.0
+                for i in range(m):
+                    acc += dense.entry(i, k) * dense.entry(i, l)
+                want[k * n + l] = acc
+                want[l * n + k] = acc
+        for a in (dense, sparse):
+            g = gram(a)
+            assert isinstance(g, SparseMatrix)
+            assert vec_bits(g.to_dense().entries) == vec_bits(want)
+            # Exact +0.0 sums are left unstored, as from_dense would.
+            assert g == SparseMatrix.from_dense(g.to_dense())
 
 
 class TestEliminate:

@@ -294,6 +294,24 @@ class TestSolve:
         with pytest.raises(DivergenceError, match=r"diverged at iteration \d+"):
             solve(a, Vector((1.0, 1.0)), config)
 
+    def test_large_sum_with_every_entry_in_bound_does_not_raise(self):
+        # The magnitudes sum to 1.8e150, past the bound, but no entry is.
+        b = Vector((9e149, 9e149))
+        config = SolverConfig(method=Method.jacobi(), eta=1e-3)
+        report = solve(DenseMatrix.identity(2), b, config)
+        assert report.converged and report.iterations_run == 1
+        assert report.solution == b
+
+    def test_nan_in_last_entry_raises_at_its_iteration(self):
+        # Iteration 1 gives (1e10, 1e10, 0); in iteration 2 the last row
+        # adds +inf and -inf, so only the last entry turns NaN.
+        a = DenseMatrix.from_rows(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1e300, 1e300, 1.0]]
+        )
+        config = SolverConfig(method=Method.jacobi(), eta=1e-3, max_iterations=10)
+        with pytest.raises(DivergenceError, match=r"diverged at iteration 2$"):
+            solve(a, Vector((1e10, 1e10, 0.0)), config)
+
     def test_max_iterations_reports_not_converged(self):
         config = SolverConfig(method=Method.jacobi(), eta=1e-15, max_iterations=5)
         report = solve(SEC21, SEC21_B, config)

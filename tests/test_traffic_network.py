@@ -16,12 +16,15 @@ from ringsolve import (
     ReductionError,
     RingSpec,
     SolverConfig,
+    SparseMatrix,
     Vector,
     assemble,
     close_exits,
     generate_ring,
     matvec,
     norm2,
+    parse_aadt,
+    parse_network,
     reconstruct,
     reduce,
     solve_direct,
@@ -217,6 +220,11 @@ class TestAssemble:
 
 
 class TestReduce:
+    def test_large_ring_normal_matrix_stays_sparse(self):
+        red = reduce(*ring_system([0.0] * 1024))
+        assert isinstance(red.normal_matrix, SparseMatrix)
+        assert len(red.normal_matrix.values) == 3 * 1023 - 2
+
     def test_ring4_reduction_is_exact(self):
         a, b = ring_system([100.0, -50.0, 120.0, -170.0])
         red = reduce(a, b)
@@ -228,7 +236,7 @@ class TestReduce:
             [0.0, 0.0, 1.0],
             [-1.0, 0.0, 0.0],
         ]
-        assert red.normal_matrix.to_rows() == [
+        assert red.normal_matrix.to_dense().to_rows() == [
             [2.0, -1.0, 0.0],
             [-1.0, 2.0, -1.0],
             [0.0, -1.0, 2.0],
@@ -238,7 +246,7 @@ class TestReduce:
     @pytest.mark.parametrize("n", [3, 5, 17, 40])
     def test_normal_matrix_is_exact_laplacian(self, n):
         red = reduce(*ring_system([0.0] * n))
-        rows = red.normal_matrix.to_rows()
+        rows = red.normal_matrix.to_dense().to_rows()
         for i in range(n - 1):
             for j in range(n - 1):
                 want = 2.0 if i == j else (-1.0 if abs(i - j) == 1 else 0.0)
@@ -293,7 +301,7 @@ class TestReconstruct:
     def test_reconstruction_solves_the_full_ring(self):
         a, b = ring_system([100.0, -50.0, 120.0, -170.0])
         red = reduce(a, b)
-        full, c = reconstruct(solve_direct(red.normal_matrix, red.normal_rhs))
+        full, c = reconstruct(solve_direct(red.normal_matrix.to_dense(), red.normal_rhs))
         assert full[3] == c
         assert norm2(Vector(tuple(r - v for r, v in zip(matvec(a, full).entries, b.entries)))) < 1e-10
 
@@ -399,6 +407,25 @@ class TestSolveTraffic:
         )
         assert rep_j.predicted_iterations == prof_j.predicted_iterations["jacobi"]
         assert rep_g.iterations_run < rep_j.iterations_run
+
+    @pytest.mark.parametrize(
+        "fixture, eta, counts",
+        [
+            ("fig1.network", 1e-3, {"jacobi": 110, "gauss-seidel": 52, "sor": 13}),
+            ("fig1.network", 1e-8, {"jacobi": 190, "gauss-seidel": 92, "sor": 24}),
+            ("aadt_synthetic.csv", 1e-3, {"jacobi": 5110, "gauss-seidel": 2471, "sor": 111}),
+            ("aadt_synthetic.csv", 1e-8, {"jacobi": 7495, "gauss-seidel": 3664, "sor": 169}),
+        ],
+    )
+    def test_predicted_counts_are_pinned(self, fixtures_dir, fixture, eta, counts):
+        text = (fixtures_dir / fixture).read_text()
+        if fixture.endswith(".network"):
+            network = parse_network(text)
+        else:
+            network = generate_ring(parse_aadt(text))
+        _, report, profile = solve_traffic(network, SolverConfig(eta=eta))
+        assert profile.predicted_iterations == counts
+        assert report.predicted_iterations == counts["sor"]
 
     def test_unbalanced_externals_warn_and_fit_least_squares(self):
         network = ring_network([10.0, 0.0, 0.0])
