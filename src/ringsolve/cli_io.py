@@ -19,7 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .convergence_analysis import classify, select_method
+from .convergence_analysis import _FALLBACK_OMEGA, classify, select_method
 from .errors import NumericalError, ParseError
 from .matrix_core import DenseMatrix, Matrix, SparseMatrix, Vector
 from .stationary_solvers import Method, SolverConfig, solve
@@ -388,13 +388,29 @@ def _forced_method(name: str, omega: float | None, profile) -> Method:
         return Method.gauss_seidel()
     if omega is not None:
         return Method.sor(omega)
-    fallback = profile.sor_omega if profile.sor_omega is not None else 1.5
+    fallback = profile.sor_omega if profile.sor_omega is not None else _FALLBACK_OMEGA
     return Method.sor(fallback)
 
 
-def _cmd_solve(args) -> int:
+def _check_omega_flag(args) -> None:
     if args.method != "sor" and args.omega is not None:
         raise ValueError("--omega requires --method sor")
+
+
+def _exit_status(report, config: SolverConfig) -> int:
+    """0 for a converged solve; otherwise report it on stderr and return 2."""
+    if report.converged:
+        return 0
+    print(
+        f"error: did not converge within {config.max_iterations} iterations "
+        f"(final residual {report.final_residual_norm:.6e})",
+        file=sys.stderr,
+    )
+    return 2
+
+
+def _cmd_solve(args) -> int:
+    _check_omega_flag(args)
     a = parse_matrix(Path(args.matrix).read_text())
     b = parse_vector(Path(args.rhs).read_text())
     x0 = parse_vector(Path(args.x0).read_text()) if args.x0 else None
@@ -435,21 +451,13 @@ def _cmd_solve(args) -> int:
     if args.history:
         rows = "".join(f"{k},{_fmt(r)}\n" for k, r in report.residual_history)
         Path(args.history).write_text("iteration,residual_norm\n" + rows)
-    if not report.converged:
-        print(
-            f"error: did not converge within {config.max_iterations} iterations "
-            f"(final residual {report.final_residual_norm:.6e})",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _exit_status(report, config)
 
 
 def _cmd_traffic_solve(args) -> int:
     if (args.network is None) == (args.aadt is None):
         raise ValueError("provide exactly one of <network> or --aadt")
-    if args.method != "sor" and args.omega is not None:
-        raise ValueError("--omega requires --method sor")
+    _check_omega_flag(args)
     if args.network is not None:
         network = parse_network(Path(args.network).read_text())
     else:
@@ -499,14 +507,7 @@ def _cmd_traffic_solve(args) -> int:
     else:
         print()
         sys.stdout.write(csv_text)
-    if not report.converged:
-        print(
-            f"error: did not converge within {config.max_iterations} iterations "
-            f"(final residual {report.final_residual_norm:.6e})",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _exit_status(report, config)
 
 
 def _cmd_traffic_generate(args) -> int:
@@ -519,6 +520,21 @@ def _cmd_traffic_generate(args) -> int:
     Path(args.out).write_text(write_network(network))
     print(f"wrote ring network with {spec.n} exits to {args.out}")
     return 0
+
+
+def _add_solve_options(parser, **file_options) -> None:
+    """The options ``solve`` and ``traffic solve`` share.
+
+    Each keyword names a further file option and gives its help text;
+    those options come before ``--timing``.
+    """
+    parser.add_argument("--method", choices=_METHOD_CHOICES, default="auto")
+    parser.add_argument("--omega", type=float, default=None, help="SOR weight in (0, 2)")
+    parser.add_argument("--eta", type=float, default=1e-3, help="residual threshold")
+    parser.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
+    for name, help_text in file_options.items():
+        parser.add_argument(f"--{name}", default=None, help=help_text)
+    parser.add_argument("--timing", action="store_true", help="include wall time")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -539,13 +555,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="solve A x = b with a stationary method")
     solve_p.add_argument("matrix", help="matrix file")
     solve_p.add_argument("rhs", help="right-hand-side vector file")
-    solve_p.add_argument("--method", choices=_METHOD_CHOICES, default="auto")
-    solve_p.add_argument("--omega", type=float, default=None, help="SOR weight in (0, 2)")
-    solve_p.add_argument("--eta", type=float, default=1e-3, help="residual threshold")
-    solve_p.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
-    solve_p.add_argument("--x0", default=None, help="initial guess vector file")
-    solve_p.add_argument("--history", default=None, help="write residual history CSV here")
-    solve_p.add_argument("--timing", action="store_true", help="include wall time")
+    _add_solve_options(
+        solve_p, x0="initial guess vector file", history="write residual history CSV here"
+    )
     solve_p.set_defaults(func=_cmd_solve)
 
     traffic = sub.add_parser("traffic", help="ring-road traffic estimation")
@@ -557,12 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tsolve.add_argument(
         "--close-exit", action="append", default=[], dest="close_exit", help="exit id to close"
     )
-    tsolve.add_argument("--method", choices=_METHOD_CHOICES, default="auto")
-    tsolve.add_argument("--omega", type=float, default=None, help="SOR weight in (0, 2)")
-    tsolve.add_argument("--eta", type=float, default=1e-3, help="residual threshold")
-    tsolve.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
-    tsolve.add_argument("--out", default=None, help="write segment CSV here")
-    tsolve.add_argument("--timing", action="store_true", help="include wall time")
+    _add_solve_options(tsolve, out="write segment CSV here")
     tsolve.set_defaults(func=_cmd_traffic_solve)
 
     tgen = tsub.add_parser("generate", help="write a ring network file from AADT counts")

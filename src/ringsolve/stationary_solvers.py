@@ -1,8 +1,14 @@
 """Jacobi, Gauss-Seidel, and SOR sweeps with the full solve driver.
 
-Each sweep is written element-wise over the A = D - L - U splitting.  The
-SOR update is evaluated as ``(1 - omega) * old + omega * (acc / diag)`` so
-that omega = 1 degenerates to the Gauss-Seidel update entry for entry.
+All three methods run one sweep kernel over the A = D - L - U splitting.
+Each row's off-diagonal (j, -A_ij) pairs are its ``strict_lower`` items
+followed by its ``strict_upper`` items, so a row sum adds its terms in
+ascending column order, starting from b_i.  Jacobi reads the previous
+iterate; Gauss-Seidel and SOR read the iterate being built.  Jacobi and
+Gauss-Seidel update x_i = acc / A_ii; SOR updates
+``(1 - omega) * old + omega * (acc / A_ii)``.  At omega = 1 that blend
+equals the Gauss-Seidel update under ``==`` but may turn a -0.0 into
++0.0, so Gauss-Seidel keeps the plain update.
 
 The solve driver defers the first residual check until the predicted
 iteration count (when a spectral-radius estimate below 1 is supplied) and
@@ -138,77 +144,60 @@ class IterationMatrix:
             raise ValueError(f"c has {len(self.c)} entries, expected {self.T.rows}")
 
 
-def _split_parts(split: TriangularSplit):
-    n = len(split.diag)
-    lower = [list(split.strict_lower.row_items(i)) for i in range(n)]
-    upper = [list(split.strict_upper.row_items(i)) for i in range(n)]
-    return list(split.diag.entries), lower, upper
-
-
 def _check_diag(diag) -> None:
     for i, d in enumerate(diag):
         if d == 0.0:
             raise ZeroDiagonalError(f"zero diagonal entry at row {i}")
 
 
-def _check_lengths(split: TriangularSplit, x: Vector, b: Vector) -> None:
+def _kernel_rows(split: TriangularSplit):
+    """Diagonal and, per row, the off-diagonal (j, -A_ij) pairs by column."""
+    d = split.diag.entries
+    _check_diag(d)
+    lower, upper = split.strict_lower, split.strict_upper
+    rows = [list(lower.row_items(i)) + list(upper.row_items(i)) for i in range(len(d))]
+    return d, rows
+
+
+def _sweep(d, rows, xs, b, omega: float | None, jacobi: bool) -> list[float]:
+    """The one sweep kernel; returns the next iterate as a new list.
+
+    Jacobi reads only ``xs``; Gauss-Seidel and SOR read the iterate being
+    built.  With ``omega`` None the update is acc / d_i, otherwise the SOR
+    blend (1 - omega) x_i + omega (acc / d_i).
+    """
+    out = list(xs)
+    reads = xs if jacobi else out
+    keep = None if omega is None else 1.0 - omega
+    for i, row in enumerate(rows):
+        acc = b[i]
+        for j, v in row:
+            acc += v * reads[j]
+        if omega is None:
+            out[i] = acc / d[i]
+        else:
+            out[i] = keep * out[i] + omega * (acc / d[i])
+    return out
+
+
+def _checked_sweep(split, x_prev: Vector, b: Vector, omega, jacobi: bool) -> Vector:
     n = len(split.diag)
-    if len(x) != n or len(b) != n:
+    if len(x_prev) != n or len(b) != n:
         raise ValueError(
-            f"split is for {n} unknowns but x has {len(x)} and b has {len(b)} entries"
+            f"split is for {n} unknowns but x has {len(x_prev)} and b has {len(b)} entries"
         )
-
-
-def _jacobi_raw(d, lower, upper, xs, b) -> list[float]:
-    out = []
-    for i in range(len(d)):
-        acc = b[i]
-        for j, v in lower[i]:
-            acc += v * xs[j]
-        for j, v in upper[i]:
-            acc += v * xs[j]
-        out.append(acc / d[i])
-    return out
-
-
-def _gs_raw(d, lower, upper, xs, b) -> list[float]:
-    out = list(xs)
-    for i in range(len(d)):
-        acc = b[i]
-        for j, v in lower[i]:
-            acc += v * out[j]
-        for j, v in upper[i]:
-            acc += v * out[j]
-        out[i] = acc / d[i]
-    return out
-
-
-def _sor_raw(d, lower, upper, xs, b, omega) -> list[float]:
-    out = list(xs)
-    for i in range(len(d)):
-        acc = b[i]
-        for j, v in lower[i]:
-            acc += v * out[j]
-        for j, v in upper[i]:
-            acc += v * out[j]
-        out[i] = (1.0 - omega) * out[i] + omega * (acc / d[i])
-    return out
+    d, rows = _kernel_rows(split)
+    return Vector(tuple(_sweep(d, rows, x_prev.entries, b.entries, omega, jacobi)))
 
 
 def jacobi_sweep(split: TriangularSplit, x_prev: Vector, b: Vector) -> Vector:
     """One Jacobi sweep: x_i = (b_i - sum_{j != i} A_ij x_prev_j) / A_ii."""
-    _check_lengths(split, x_prev, b)
-    d, lower, upper = _split_parts(split)
-    _check_diag(d)
-    return Vector(tuple(_jacobi_raw(d, lower, upper, x_prev.entries, b.entries)))
+    return _checked_sweep(split, x_prev, b, None, True)
 
 
 def gauss_seidel_sweep(split: TriangularSplit, x_prev: Vector, b: Vector) -> Vector:
     """One Gauss-Seidel sweep; positions j < i read the current sweep's values."""
-    _check_lengths(split, x_prev, b)
-    d, lower, upper = _split_parts(split)
-    _check_diag(d)
-    return Vector(tuple(_gs_raw(d, lower, upper, x_prev.entries, b.entries)))
+    return _checked_sweep(split, x_prev, b, None, False)
 
 
 def sor_sweep(split: TriangularSplit, x_prev: Vector, b: Vector, omega: float) -> Vector:
@@ -217,10 +206,7 @@ def sor_sweep(split: TriangularSplit, x_prev: Vector, b: Vector, omega: float) -
     The raw sweep accepts any omega so the weight's effect can be probed;
     the solve driver enforces 0 < omega < 2.
     """
-    _check_lengths(split, x_prev, b)
-    d, lower, upper = _split_parts(split)
-    _check_diag(d)
-    return Vector(tuple(_sor_raw(d, lower, upper, x_prev.entries, b.entries, float(omega))))
+    return _checked_sweep(split, x_prev, b, float(omega), False)
 
 
 def iteration_matrix(a: Matrix, method: Method, b: Vector | None = None) -> IterationMatrix:
@@ -235,8 +221,10 @@ def iteration_matrix(a: Matrix, method: Method, b: Vector | None = None) -> Iter
     if b is not None and len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
     split = split_dlu(a)
-    d, lower, upper = _split_parts(split)
+    d = split.diag.entries
     _check_diag(d)
+    lower = [list(split.strict_lower.row_items(i)) for i in range(n)]
+    upper = [list(split.strict_upper.row_items(i)) for i in range(n)]
     upper_dense = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j, v in upper[i]:
@@ -296,15 +284,10 @@ def _residual_norm(a: SparseMatrix, xs, b) -> float:
 
 def _sweep_fn(split: TriangularSplit, method: Method, b: Vector):
     """One sweep of ``method`` as a function from list to list of floats."""
-    d, lower, upper = _split_parts(split)
-    _check_diag(d)
-    bs = b.entries
-    if method.tag == "jacobi":
-        return lambda xs: _jacobi_raw(d, lower, upper, xs, bs)
-    if method.tag == "gauss-seidel":
-        return lambda xs: _gs_raw(d, lower, upper, xs, bs)
-    omega = float(method.omega)
-    return lambda xs: _sor_raw(d, lower, upper, xs, bs, omega)
+    d, rows = _kernel_rows(split)
+    bs, jacobi = b.entries, method.tag == "jacobi"
+    omega = None if method.omega is None else float(method.omega)
+    return lambda xs: _sweep(d, rows, xs, bs, omega, jacobi)
 
 
 def _check_iterate(xs, k: int) -> None:

@@ -441,8 +441,9 @@ class TestGoldenOutput:
     """Plain output pinned byte for byte.
 
     The files under ``tests/golden`` were written by the dense-storage
-    implementation that the CSR core replaced; storage must not change
-    a single printed digit.
+    implementation that the CSR core replaced, and the forced-method ones
+    by the three separate sweep loops that the one sweep kernel replaced;
+    neither storage nor the kernel may change a single printed digit.
     """
 
     def test_solve_and_history(self, capsys, sec21, tmp_path):
@@ -468,3 +469,44 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert out == (GOLDEN / "aadt_traffic_solve.out").read_text()
+
+    def test_forced_jacobi_and_history(self, capsys, sec21, tmp_path):
+        history = tmp_path / "history.csv"
+        code, out, err = run(
+            capsys, "solve", *sec21, "--method", "jacobi", "--history", str(history)
+        )
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "sec21_jacobi_solve.out").read_text()
+        assert history.read_text() == (GOLDEN / "sec21_jacobi_history.csv").read_text()
+
+    def test_forced_sor_weight(self, capsys, sec21):
+        code, out, err = run(capsys, "solve", *sec21, "--method", "sor", "--omega", "1.1")
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "sec21_sor_solve.out").read_text()
+
+    def test_traffic_solve_network_gauss_seidel(self, capsys, fixtures_dir):
+        code, out, _ = run(
+            capsys,
+            "traffic",
+            "solve",
+            str(fixtures_dir / "fig1.network"),
+            "--method",
+            "gauss-seidel",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "fig1_gs_traffic_solve.out").read_text()
+
+    def test_traffic_solve_aadt_forced_sor(self, capsys, fixtures_dir):
+        code, out, _ = run(
+            capsys,
+            "traffic",
+            "solve",
+            "--aadt",
+            str(fixtures_dir / "aadt_synthetic.csv"),
+            "--method",
+            "sor",
+            "--omega",
+            "1.9",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "aadt_sor_traffic_solve.out").read_text()

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import tridiag, vec_bits
 from ringsolve import (
@@ -12,6 +14,7 @@ from ringsolve import (
     MatrixProfile,
     Method,
     SolverConfig,
+    SparseMatrix,
     Vector,
     ZeroDiagonalError,
     classify,
@@ -158,6 +161,131 @@ class TestSweeps:
         split = split_dlu(SEC21)
         with pytest.raises(ValueError, match="3 unknowns"):
             jacobi_sweep(split, Vector.zeros(2), SEC21_B)
+
+
+def _textbook_parts(split):
+    n = len(split.diag)
+    lower = [list(split.strict_lower.row_items(i)) for i in range(n)]
+    upper = [list(split.strict_upper.row_items(i)) for i in range(n)]
+    for i, d in enumerate(split.diag.entries):
+        if d == 0.0:
+            raise ZeroDiagonalError(f"zero diagonal entry at row {i}")
+    return list(split.diag.entries), lower, upper
+
+
+def textbook_jacobi(split, x, b):
+    d, lower, upper = _textbook_parts(split)
+    out = []
+    for i in range(len(d)):
+        acc = b[i]
+        for j, v in lower[i]:
+            acc += v * x[j]
+        for j, v in upper[i]:
+            acc += v * x[j]
+        out.append(acc / d[i])
+    return out
+
+
+def textbook_gauss_seidel(split, x, b):
+    d, lower, upper = _textbook_parts(split)
+    out = list(x)
+    for i in range(len(d)):
+        acc = b[i]
+        for j, v in lower[i]:
+            acc += v * out[j]
+        for j, v in upper[i]:
+            acc += v * out[j]
+        out[i] = acc / d[i]
+    return out
+
+
+def textbook_sor(split, x, b, omega):
+    d, lower, upper = _textbook_parts(split)
+    out = list(x)
+    for i in range(len(d)):
+        acc = b[i]
+        for j, v in lower[i]:
+            acc += v * out[j]
+        for j, v in upper[i]:
+            acc += v * out[j]
+        out[i] = (1.0 - omega) * out[i] + omega * (acc / d[i])
+    return out
+
+
+# Signed zeros, exact cancellations and products that underflow to a zero.
+signed_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 1e-200, -1e-200]),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+nonzero_diagonal = st.one_of(
+    st.sampled_from([1.0, -1.0, 4.0, -0.5]),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.floats(min_value=-100.0, max_value=-0.01),
+)
+weights = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
+)
+
+
+@st.composite
+def csr_systems(draw, diagonal=nonzero_diagonal):
+    """(A, x, b): a square CSR matrix storing a random subset of its
+    off-diagonal entries, ±0.0 among them, and vectors with signed zeros."""
+    n = draw(st.integers(1, 6))
+    offsets, cols, vals = [0], [], []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                cols.append(j)
+                vals.append(draw(diagonal))
+            elif draw(st.booleans()):
+                cols.append(j)
+                vals.append(draw(signed_entries))
+        offsets.append(len(vals))
+    a = SparseMatrix(n, n, tuple(offsets), tuple(cols), tuple(vals))
+    x = Vector(tuple(draw(st.lists(signed_entries, min_size=n, max_size=n))))
+    b = Vector(tuple(draw(st.lists(signed_entries, min_size=n, max_size=n))))
+    return a, x, b
+
+
+class TestSweepOracle:
+    """The sweeps against textbook CSR loops, bit for bit."""
+
+    @given(csr_systems(), weights)
+    def test_sweeps_match_textbook_loops(self, system, omega):
+        a, x, b = system
+        split = split_dlu(a)
+        xs, bs = x.entries, b.entries
+        assert vec_bits(jacobi_sweep(split, x, b)) == vec_bits(textbook_jacobi(split, xs, bs))
+        assert vec_bits(gauss_seidel_sweep(split, x, b)) == vec_bits(
+            textbook_gauss_seidel(split, xs, bs)
+        )
+        assert vec_bits(sor_sweep(split, x, b, omega)) == vec_bits(
+            textbook_sor(split, xs, bs, omega)
+        )
+
+    @given(csr_systems(diagonal=st.one_of(st.sampled_from([0.0, -0.0]), nonzero_diagonal)))
+    def test_zero_diagonal_names_the_same_row(self, system):
+        a, x, b = system
+        split = split_dlu(a)
+        zero_rows = [i for i, d in enumerate(split.diag.entries) if d == 0.0]
+        assume(zero_rows)
+        message = f"zero diagonal entry at row {zero_rows[0]}$"
+        with pytest.raises(ZeroDiagonalError, match=message):
+            textbook_jacobi(split, x.entries, b.entries)
+        for sweep in (jacobi_sweep, gauss_seidel_sweep):
+            with pytest.raises(ZeroDiagonalError, match=message):
+                sweep(split, x, b)
+        with pytest.raises(ZeroDiagonalError, match=message):
+            sor_sweep(split, x, b, 1.5)
+
+    def test_weight_one_may_differ_from_gauss_seidel_in_the_sign_of_zero(self):
+        # (1 - 1) * old is +0.0 for a positive old value, and +0.0 + -0.0 is
+        # +0.0; the Gauss-Seidel update keeps the -0.0.
+        split = split_dlu(DenseMatrix.from_rows([[1.0]]))
+        x, b = Vector((1.0,)), Vector((-0.0,))
+        assert vec_bits(gauss_seidel_sweep(split, x, b)) == vec_bits([-0.0])
+        assert vec_bits(sor_sweep(split, x, b, 1.0)) == vec_bits([0.0])
 
 
 class TestIterationMatrix:
