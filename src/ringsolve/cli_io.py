@@ -426,8 +426,13 @@ def _cmd_solve(args) -> int:
         method, rationale = select_method(profile)
     else:
         method = _forced_method(args.method, args.omega, profile)
+    # Without --history no residual is wanted before the convergence checks.
     config = SolverConfig(
-        method=method, eta=args.eta, max_iterations=args.max_iter, initial_guess=x0
+        method=method,
+        eta=args.eta,
+        max_iterations=args.max_iter,
+        initial_guess=x0,
+        history_stride=1 if args.history else args.max_iter,
     )
     report = solve(a, b, config, profile)
     pairs = [("method", method.tag)]

@@ -8,7 +8,12 @@ step; then rho_gs = rho_j^2 and, for a positive definite matrix, the
 optimal SOR weight has radius omega* - 1.
 
 Every other radius is estimated by power iteration: repeated application
-of T to a fixed seed vector with renormalization after every step.  The
+of T to a fixed seed vector with renormalization after every step.  T is
+built as a dense numpy array by forward substitution on whole rows and
+handed to the power loop directly; it is the matrix ``iteration_matrix``
+returns, bit for bit.  At the sizes this library targets (a few hundred
+unknowns) one dense product costs far less than applying T as a sweep in
+Python, and the loop needs hundreds to thousands of products.  The
 growth factors are averaged geometrically over a trailing window of 32
 steps, which makes the estimate insensitive to dominant eigenvalues that
 come in +/- pairs or complex-conjugate pairs; a plain Rayleigh or
@@ -29,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergentMethodError
-from .matrix_core import DenseMatrix, Matrix, SparseMatrix, _csr, _require_square
-from .stationary_solvers import Method, iteration_matrix
+from .matrix_core import DenseMatrix, Matrix, SparseMatrix, _csr, _require_square, split_dlu
+# ``iteration_matrix`` is unused here but stays importable from this module,
+# where perfbench's tracer looks it up.
+from .stationary_solvers import Method, _iteration_array, iteration_matrix  # noqa: F401
 
 __all__ = [
     "SpectralEstimate",
@@ -49,6 +56,8 @@ __all__ = [
 _WINDOW = 32
 # Consecutive stable comparisons required before the estimate is accepted.
 _STABLE_RUNS = 8
+# Step limit of every power iteration unless the caller passes another.
+_MAX_POWER_STEPS = 50000
 # Radii measured by power iteration in classify must resolve differences
 # finer than the selection tie tolerance below, so the default public
 # tolerance is too loose.
@@ -108,7 +117,9 @@ class MatrixProfile:
             raise ValueError(f"omega_star={self.omega_star} outside [1, 2)")
 
 
-def spectral_radius(t: Matrix, tol: float = 1e-6, max_steps: int = 50000) -> SpectralEstimate:
+def spectral_radius(
+    t: Matrix, tol: float = 1e-6, max_steps: int = _MAX_POWER_STEPS
+) -> SpectralEstimate:
     """Estimate the spectral radius of a square matrix by power iteration.
 
     The seed vector is deterministic (entry i is 1 + 1e-3 * i, sign of the
@@ -127,10 +138,14 @@ def spectral_radius(t: Matrix, tol: float = 1e-6, max_steps: int = 50000) -> Spe
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     dense = t if isinstance(t, DenseMatrix) else t.to_dense()
-    if all(v == 0.0 for v in dense.entries):
-        return SpectralEstimate(0.0, 0, True, tol)
+    return _power_radius(np.array(dense.entries, dtype=np.float64).reshape(n, n), tol, max_steps)
 
-    mat = np.array(dense.entries, dtype=np.float64).reshape(n, n)
+
+def _power_radius(mat: np.ndarray, tol: float, max_steps: int) -> SpectralEstimate:
+    """The power iteration of ``spectral_radius`` on a square array."""
+    if not mat.any():
+        return SpectralEstimate(0.0, 0, True, tol)
+    n = mat.shape[0]
     v = np.array([1.0 + 1e-3 * i * (-1.0) ** i for i in range(n)], dtype=np.float64)
     v /= np.linalg.norm(v)
 
@@ -398,10 +413,12 @@ def classify(a: Matrix) -> MatrixProfile:
     built for these.
 
     Every other radius is measured by power iteration on the dense
-    iteration matrix, SOR at the fixed fallback weight 1.5 with
-    ``omega_star`` left unset.  Those estimates use a tolerance of 1e-10,
-    far below the public default, and ``radii_converged`` records whether
-    they all settled.  A zero diagonal leaves every radius unset and
+    iteration matrix, built as a numpy array (the T of
+    ``iteration_matrix``, without its ``DenseMatrix`` wrapper), SOR at the
+    fixed fallback weight 1.5 with ``omega_star`` left unset.  A
+    non-finite entry of T raises ``ValueError``.  Those estimates use a
+    tolerance of 1e-10, far below the public default, and
+    ``radii_converged`` records whether they all settled.  A zero diagonal leaves every radius unset and
     recommends nothing.
     """
     a = _csr(a)
@@ -419,7 +436,8 @@ def classify(a: Matrix) -> MatrixProfile:
     estimates = []
 
     def measured(method: Method) -> float:
-        est = spectral_radius(iteration_matrix(a, method).T, tol=_CLASSIFY_TOL)
+        t = _iteration_array(split_dlu(a), method)
+        est = _power_radius(t, _CLASSIFY_TOL, _MAX_POWER_STEPS)
         estimates.append(est)
         return est.rho
 

@@ -22,6 +22,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivergenceError, ZeroDiagonalError
 from .matrix_core import (
     DenseMatrix,
@@ -30,7 +32,6 @@ from .matrix_core import (
     TriangularSplit,
     Vector,
     _csr,
-    _matvec_list,
     _require_square,
     inf_norm,
     matvec,
@@ -209,60 +210,78 @@ def sor_sweep(split: TriangularSplit, x_prev: Vector, b: Vector, omega: float) -
     return _checked_sweep(split, x_prev, b, float(omega), False)
 
 
+def _iteration_array(split: TriangularSplit, method: Method) -> np.ndarray:
+    """The fixed-point matrix T of ``method`` on A = D - L - U as an n x n array.
+
+    T_jacobi = D^-1 (L + U); T_gs = (D - L)^-1 U; and for SOR
+    T_omega = (D - omega L)^-1 ((1 - omega) D + omega U).  The triangular
+    inverse is applied by forward substitution on whole rows: row i of T
+    starts from row i of the right-hand factor, adds (omega L_ij) T_j (or
+    L_ij T_j for Gauss-Seidel) over the stored lower entries in column
+    order, and is divided by D_ii.  Each entry sees the same IEEE
+    operations as a scalar substitution column by column.  A non-finite
+    entry raises ``ValueError`` naming its row-major index, as
+    ``DenseMatrix`` does.
+    """
+    d = split.diag.entries
+    _check_diag(d)
+    n = len(d)
+    lower, upper = split.strict_lower, split.strict_upper
+    t = np.zeros((n, n))
+    # Overflow must reach the finiteness check below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.tag == "jacobi":
+            for i in range(n):
+                for j, v in lower.row_items(i):
+                    t[i, j] = v / d[i]
+                for j, v in upper.row_items(i):
+                    t[i, j] = v / d[i]
+        else:
+            gs = method.tag == "gauss-seidel"
+            omega = 1.0 if gs else float(method.omega)
+            for i in range(n):
+                acc = np.zeros(n)
+                for j, v in upper.row_items(i):
+                    acc[j] = v if gs else omega * v
+                if not gs:
+                    acc[i] = (1.0 - omega) * d[i]
+                for j, v in lower.row_items(i):
+                    acc += (v if gs else omega * v) * t[j]
+                t[i] = acc / d[i]
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"matrix entry {k} is not finite: {float(t.flat[k])!r}")
+    return t
+
+
 def iteration_matrix(a: Matrix, method: Method, b: Vector | None = None) -> IterationMatrix:
     """The dense fixed-point matrix T and offset c for a method.
 
     T_jacobi = D^-1 (L + U); T_gs = (D - L)^-1 U; and for SOR
     T_omega = (D - omega L)^-1 ((1 - omega) D + omega U).  Triangular
-    inverses are applied by forward substitution per column; no general
-    matrix is ever inverted.  With ``b`` omitted, c is the zero vector.
+    inverses are applied by forward substitution; no general matrix is
+    ever inverted.  T is the array ``classify`` measures, wrapped as a
+    ``DenseMatrix``.  With ``b`` omitted, c is the zero vector.
     """
     n = _require_square(a)
     if b is not None and len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
     split = split_dlu(a)
+    t = _iteration_array(split, method)
     d = split.diag.entries
-    _check_diag(d)
-    lower = [list(split.strict_lower.row_items(i)) for i in range(n)]
-    upper = [list(split.strict_upper.row_items(i)) for i in range(n)]
-    upper_dense = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j, v in upper[i]:
-            upper_dense[i][j] = v
-
-    flat = [0.0] * (n * n)
-    if method.tag == "jacobi":
+    c = [0.0] * n
+    if b is not None and method.tag == "jacobi":
+        c = [bi / di for bi, di in zip(b.entries, d)]
+    elif b is not None:
+        sor = method.tag == "sor"
+        omega = float(method.omega) if sor else 1.0
         for i in range(n):
-            for j, v in lower[i]:
-                flat[i * n + j] = v / d[i]
-            for j, v in upper[i]:
-                flat[i * n + j] = v / d[i]
-        c = [bi / di for bi, di in zip(b.entries, d)] if b is not None else [0.0] * n
-    else:
-        omega = 1.0 if method.tag == "gauss-seidel" else float(method.omega)
-        # Columns of T solve (D - omega L) z = rhs by forward substitution,
-        # where the stored lower part already carries the sign of L.
-        for col in range(n):
-            z = [0.0] * n
-            for i in range(n):
-                if method.tag == "gauss-seidel":
-                    rhs = upper_dense[i][col]
-                else:
-                    rhs = (1.0 - omega) * d[i] if i == col else omega * upper_dense[i][col]
-                acc = rhs
-                for j, v in lower[i]:
-                    acc += omega * v * z[j] if method.tag == "sor" else v * z[j]
-                z[i] = acc / d[i]
-            for i in range(n):
-                flat[i * n + col] = z[i]
-        c = [0.0] * n
-        if b is not None:
-            for i in range(n):
-                acc = b[i] if method.tag == "gauss-seidel" else omega * b[i]
-                for j, v in lower[i]:
-                    acc += omega * v * c[j] if method.tag == "sor" else v * c[j]
-                c[i] = acc / d[i]
-    return IterationMatrix(DenseMatrix(n, n, tuple(flat)), Vector(tuple(c)), method)
+            acc = omega * b[i] if sor else b[i]
+            for j, v in split.strict_lower.row_items(i):
+                acc += omega * v * c[j] if sor else v * c[j]
+            c[i] = acc / d[i]
+    return IterationMatrix(DenseMatrix(n, n, tuple(t.ravel().tolist())), Vector(tuple(c)), method)
 
 
 def residual(a: Matrix, x: Vector, b: Vector) -> Vector:
@@ -273,11 +292,23 @@ def residual(a: Matrix, x: Vector, b: Vector) -> Vector:
     return Vector(tuple(bi - yi for bi, yi in zip(b.entries, y.entries)))
 
 
-def _residual_norm(a: SparseMatrix, xs, b) -> float:
-    y = _matvec_list(a, xs)
+def _residual_rows(a: SparseMatrix) -> list[list[tuple[int, float]]]:
+    """Per row, the stored (j, A_ij) pairs in column order."""
+    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
+    return [
+        list(zip(cols[offsets[i] : offsets[i + 1]], vals[offsets[i] : offsets[i + 1]]))
+        for i in range(a.rows)
+    ]
+
+
+def _residual_norm(rows, xs, b) -> float:
+    """||b - A x||_2, each (A x)_i summed left to right from +0.0 as ``matvec`` does."""
     acc = 0.0
-    for bi, yi in zip(b, y):
-        r = bi - yi
+    for bi, row in zip(b, rows):
+        y = 0.0
+        for j, v in row:
+            y += v * xs[j]
+        r = bi - y
         acc += r * r
     return math.sqrt(acc)
 
@@ -359,6 +390,7 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
     a = _csr(a)
     step = _sweep_fn(split_dlu(a), method, b)
+    a_rows = _residual_rows(a)
     x0 = config.initial_guess if config.initial_guess is not None else Vector.zeros(n)
     if len(x0) != n:
         raise ValueError(f"initial guess has {len(x0)} entries, expected {n}")
@@ -388,11 +420,11 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
             _check_iterate(xs, k)
         rnorm: float | None = None
         if k % stride == 0:
-            rnorm = _residual_norm(a, xs, b.entries)
+            rnorm = _residual_norm(a_rows, xs, b.entries)
             history.append((k, rnorm))
         if k >= first_check or k == config.max_iterations:
             if rnorm is None:
-                rnorm = _residual_norm(a, xs, b.entries)
+                rnorm = _residual_norm(a_rows, xs, b.entries)
             final_k, final_rnorm = k, rnorm
             if rnorm < eta:
                 converged = True

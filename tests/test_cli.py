@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ringsolve import SolverConfig, cli, parse_network, parse_segments, solve_direct
-from ringsolve import parse_matrix, parse_vector, write_vector
+from ringsolve import parse_matrix, parse_vector, stationary_solvers, write_vector
 
 
 def run(capsys, *argv):
@@ -35,6 +35,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @pytest.fixture
 def sec21(fixtures_dir):
     return str(fixtures_dir / "sec21.mat"), str(fixtures_dir / "sec21.rhs")
+
+
+@pytest.fixture
+def convdiff5(fixtures_dir):
+    return str(fixtures_dir / "convdiff5.mat"), str(fixtures_dir / "convdiff5.rhs")
 
 
 class TestAnalyze:
@@ -182,6 +187,26 @@ class TestSolve:
         last = float(lines[-1].split(",")[1])
         assert last < first
         assert lines[-1].split(",")[0] == pairs(out)["iterations"]
+
+    def test_residuals_only_where_checked_without_history(
+        self, capsys, sec21, tmp_path, monkeypatch
+    ):
+        calls = []
+        norm = stationary_solvers._residual_norm
+
+        def counted(*args):
+            calls.append(args)
+            return norm(*args)
+
+        monkeypatch.setattr(stationary_solvers, "_residual_norm", counted)
+        _, plain, _ = run(capsys, "solve", *sec21)
+        checks = len(calls)
+        calls.clear()
+        _, logged, _ = run(capsys, "solve", *sec21, "--history", str(tmp_path / "h.csv"))
+        assert plain == logged
+        got = pairs(plain)
+        assert checks == int(got["iterations"]) - int(got["predicted"]) + 1
+        assert len(calls) == int(got["iterations"])
 
     def test_timing_flag_controls_wall_time_line(self, capsys, sec21):
         _, out_plain, _ = run(capsys, "solve", *sec21)
@@ -443,7 +468,10 @@ class TestGoldenOutput:
     The files under ``tests/golden`` were written by the dense-storage
     implementation that the CSR core replaced, and the forced-method ones
     by the three separate sweep loops that the one sweep kernel replaced;
-    neither storage nor the kernel may change a single printed digit.
+    neither storage nor the kernel may change a single printed digit.  The
+    ``convdiff5`` files, a nonsymmetric grid whose radii are all measured
+    by power iteration, were written by the column-by-column substitution
+    that the row-wise ``_iteration_array`` replaced.
     """
 
     def test_solve_and_history(self, capsys, sec21, tmp_path):
@@ -457,6 +485,18 @@ class TestGoldenOutput:
         code, out, err = run(capsys, "analyze", "--json", sec21[0])
         assert code == 0 and err == ""
         assert out == (GOLDEN / "sec21_analyze.json").read_text()
+
+    def test_general_matrix_analyze_json(self, capsys, convdiff5):
+        code, out, err = run(capsys, "analyze", "--json", convdiff5[0])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "convdiff5_analyze.json").read_text()
+
+    def test_general_matrix_solve_and_history(self, capsys, convdiff5, tmp_path):
+        history = tmp_path / "history.csv"
+        code, out, err = run(capsys, "solve", *convdiff5, "--history", str(history))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "convdiff5_solve.out").read_text()
+        assert history.read_text() == (GOLDEN / "convdiff5_history.csv").read_text()
 
     def test_traffic_solve_network(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "traffic", "solve", str(fixtures_dir / "fig1.network"))

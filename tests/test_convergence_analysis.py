@@ -383,6 +383,13 @@ class TestClassify:
         assert profile.recommendation == Method.gauss_seidel()
         assert profile.predicted_iterations is None
 
+    def test_overflowing_iteration_matrix_names_its_first_bad_entry(self):
+        # Nonsymmetric, so the radii are measured; T_jacobi[1][0] is
+        # -1e10 / 1e-300, row-major entry 3.
+        a = DenseMatrix.from_rows([[1.0, 0.5, 0.0], [1e10, 1e-300, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^matrix entry 3 is not finite: -inf$"):
+            classify(a)
+
     def test_tridiagonal_gets_optimal_weight_and_sor(self):
         profile = classify(tridiag(5))
         assert abs(profile.rho_jacobi - math.cos(math.pi / 6.0)) < 2e-4

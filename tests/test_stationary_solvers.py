@@ -2,12 +2,13 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import tridiag, vec_bits
+from conftest import bits, tridiag, vec_bits
 from ringsolve import (
     DenseMatrix,
     DivergenceError,
@@ -27,8 +28,11 @@ from ringsolve import (
     solve,
     solve_direct,
     sor_sweep,
+    spectral_radius,
     split_dlu,
 )
+from ringsolve.convergence_analysis import _power_radius
+from ringsolve.stationary_solvers import _iteration_array, _residual_norm, _residual_rows
 
 SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 SEC21_B = Vector((-1.0, 2.0, 3.0))
@@ -138,13 +142,16 @@ class TestSweeps:
         want = (-0.22, 0.16377777777777777, -0.42802222222222224)
         assert max(abs(a - b) for a, b in zip(out.entries, want)) < 1e-15
 
-    def test_sor_weight_one_is_gauss_seidel_bit_for_bit(self):
+    def test_sor_weight_one_equals_gauss_seidel(self):
+        # Equal under ==, not bit for bit: where Gauss-Seidel returns -0.0,
+        # SOR may return +0.0 (TestSweepOracle pins such a case).
         split = split_dlu(SEC21)
         rnd = random.Random(7)
         for _ in range(10):
             x = Vector(tuple(rnd.uniform(-3, 3) for _ in range(3)))
-            assert vec_bits(sor_sweep(split, x, SEC21_B, 1.0)) == vec_bits(
-                gauss_seidel_sweep(split, x, SEC21_B)
+            assert (
+                sor_sweep(split, x, SEC21_B, 1.0).entries
+                == gauss_seidel_sweep(split, x, SEC21_B).entries
             )
 
     def test_sor_weight_zero_leaves_iterate_unchanged(self):
@@ -228,7 +235,7 @@ weights = st.one_of(
 
 
 @st.composite
-def csr_systems(draw, diagonal=nonzero_diagonal):
+def csr_systems(draw, diagonal=nonzero_diagonal, entries=signed_entries):
     """(A, x, b): a square CSR matrix storing a random subset of its
     off-diagonal entries, ±0.0 among them, and vectors with signed zeros."""
     n = draw(st.integers(1, 6))
@@ -240,7 +247,7 @@ def csr_systems(draw, diagonal=nonzero_diagonal):
                 vals.append(draw(diagonal))
             elif draw(st.booleans()):
                 cols.append(j)
-                vals.append(draw(signed_entries))
+                vals.append(draw(entries))
         offsets.append(len(vals))
     a = SparseMatrix(n, n, tuple(offsets), tuple(cols), tuple(vals))
     x = Vector(tuple(draw(st.lists(signed_entries, min_size=n, max_size=n))))
@@ -288,6 +295,103 @@ class TestSweepOracle:
         assert vec_bits(sor_sweep(split, x, b, 1.0)) == vec_bits([0.0])
 
 
+def textbook_iteration_matrix(a, method, b=None):
+    """T (row-major, as a list) and c by scalar forward substitution, one
+    column of T at a time."""
+    split = split_dlu(a)
+    n = len(split.diag)
+    d = split.diag.entries
+    lower = [list(split.strict_lower.row_items(i)) for i in range(n)]
+    upper = [list(split.strict_upper.row_items(i)) for i in range(n)]
+    upper_dense = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j, v in upper[i]:
+            upper_dense[i][j] = v
+
+    flat = [0.0] * (n * n)
+    if method.tag == "jacobi":
+        for i in range(n):
+            for j, v in lower[i]:
+                flat[i * n + j] = v / d[i]
+            for j, v in upper[i]:
+                flat[i * n + j] = v / d[i]
+        c = [bi / di for bi, di in zip(b.entries, d)] if b is not None else [0.0] * n
+    else:
+        omega = 1.0 if method.tag == "gauss-seidel" else float(method.omega)
+        for col in range(n):
+            z = [0.0] * n
+            for i in range(n):
+                if method.tag == "gauss-seidel":
+                    rhs = upper_dense[i][col]
+                else:
+                    rhs = (1.0 - omega) * d[i] if i == col else omega * upper_dense[i][col]
+                acc = rhs
+                for j, v in lower[i]:
+                    acc += omega * v * z[j] if method.tag == "sor" else v * z[j]
+                z[i] = acc / d[i]
+            for i in range(n):
+                flat[i * n + col] = z[i]
+        c = [0.0] * n
+        if b is not None:
+            for i in range(n):
+                acc = b[i] if method.tag == "gauss-seidel" else omega * b[i]
+                for j, v in lower[i]:
+                    acc += omega * v * c[j] if method.tag == "sor" else v * c[j]
+                c[i] = acc / d[i]
+    return flat, c
+
+
+methods = st.one_of(
+    st.sampled_from([Method.jacobi(), Method.gauss_seidel(), Method.sor(1.0), Method.sor(1.5)]),
+    st.floats(0.0, 2.0, exclude_min=True, exclude_max=True).map(Method.sor),
+)
+# Entries whose products and quotients overflow to inf or turn into NaN.
+extreme_entries = st.one_of(signed_entries, st.sampled_from([1e300, -1e300, 1e150]))
+extreme_diagonal = st.one_of(nonzero_diagonal, st.sampled_from([1e-300, -1e-200]))
+
+
+class TestIterationArrayOracle:
+    """``_iteration_array`` against the column-by-column substitution."""
+
+    @given(csr_systems(), methods)
+    def test_matches_column_substitution_bit_for_bit(self, system, method):
+        a, _, b = system
+        want_t, want_c = textbook_iteration_matrix(a, method, b)
+        t = _iteration_array(split_dlu(a), method)
+        assert vec_bits(t.ravel().tolist()) == vec_bits(want_t)
+        im = iteration_matrix(a, method, b)
+        assert vec_bits(im.T.entries) == vec_bits(want_t)
+        assert vec_bits(im.c) == vec_bits(want_c)
+
+    @given(csr_systems(diagonal=extreme_diagonal, entries=extreme_entries), methods)
+    def test_non_finite_entry_named_as_dense_matrix_names_it(self, system, method):
+        a, _, _ = system
+        want_t, _ = textbook_iteration_matrix(a, method)
+        n = a.rows
+        try:
+            DenseMatrix(n, n, tuple(want_t))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _iteration_array(split_dlu(a), method)
+        else:
+            t = _iteration_array(split_dlu(a), method)
+            assert vec_bits(t.ravel().tolist()) == vec_bits(want_t)
+
+    @given(csr_systems(), methods)
+    def test_power_iteration_same_on_array_and_dense_matrix(self, system, method):
+        a, _, _ = system
+        t = _iteration_array(split_dlu(a), method)
+        from_array = _power_radius(t, 1e-10, 500)
+        from_dense = spectral_radius(iteration_matrix(a, method).T, tol=1e-10, max_steps=500)
+        assert from_array == from_dense
+        assert bits(from_array.rho) == bits(from_dense.rho)
+
+    def test_zero_diagonal_rejected(self):
+        a = DenseMatrix.from_rows([[1.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ZeroDiagonalError, match="row 1"):
+            _iteration_array(split_dlu(a), Method.sor(1.5))
+
+
 class TestIterationMatrix:
     def test_jacobi_form_of_symmetric_pair(self):
         im = iteration_matrix(DenseMatrix.from_rows([[2.0, 1.0], [1.0, 2.0]]), Method.jacobi())
@@ -331,6 +435,16 @@ class TestIterationMatrix:
 
 
 class TestResidual:
+    @given(csr_systems())
+    def test_solver_norm_matches_public_residual_bit_for_bit(self, system):
+        a, x, b = system
+        r = residual(a, x, b)
+        acc = 0.0
+        for v in r.entries:
+            acc += v * v
+        got = _residual_norm(_residual_rows(a), x.entries, b.entries)
+        assert bits(got) == bits(math.sqrt(acc))
+
     def test_zero_guess_gives_rhs(self):
         assert residual(SEC21, Vector.zeros(3), SEC21_B).entries == SEC21_B.entries
 
