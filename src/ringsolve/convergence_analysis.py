@@ -239,10 +239,11 @@ def structure_flags(a: Matrix) -> dict[str, bool]:
     each stored entry, tridiagonality and zero diagonals are exact
     comparisons, and dominance compares each |A_ii| against its
     off-diagonal row sum, all over the stored entries.  Positive
-    definiteness is tested only for symmetric matrices, by a Cholesky
-    factorization that must keep every pivot positive: a tridiagonal
-    matrix is factored on its bidiagonal factor in O(n), which meets the
-    same pivots as the dense factorization; any other is factored densely.
+    definiteness is tested only for symmetric matrices, by one envelope
+    Cholesky factorization on the CSR rows that must keep every pivot
+    positive.  It meets the pivots of the dense factorization bit for bit
+    and costs O(sum of squared row envelopes): O(n) on tridiagonal input,
+    O(n bw^2) on a band of width bw, and no matrix is made dense.
     """
     n = _require_square(a)
     a = _csr(a)
@@ -278,30 +279,53 @@ def structure_flags(a: Matrix) -> dict[str, bool]:
         "is_strictly_diag_dominant": strict,
         "is_weakly_diag_dominant": weak,
         "is_tridiagonal": tridiagonal,
-        "is_positive_definite": symmetric
-        and (
-            _tridiagonal_cholesky_succeeds(*_tridiagonal_band(a))
-            if tridiagonal
-            else _cholesky_succeeds(a.to_dense().to_rows(), n)
-        ),
+        "is_positive_definite": symmetric and _cholesky_succeeds(a),
         "has_zero_diagonal": zero_diag,
     }
 
 
-def _cholesky_succeeds(rows, n: int) -> bool:
-    low = [[0.0] * n for _ in range(n)]
-    for k in range(n):
-        acc = rows[k][k]
-        for j in range(k):
-            acc -= low[k][j] * low[k][j]
+def _cholesky_succeeds(a: SparseMatrix) -> bool:
+    """Whether the Cholesky factorization of a symmetric CSR matrix keeps
+    every pivot positive, read from its lower triangle.
+
+    Row k of L is built over its envelope only, columns f_k to k, where f_k
+    is the first stored column of row k; left of it the dense factor is
+    exactly +0.0.  Each entry and each pivot subtract their products in
+    ascending column order, as the dense column-by-column factorization
+    does, and the products skipped at the head of a sum are exact zeros.
+    So the pivots are the dense ones bit for bit: a skipped zero can change
+    only the sign of a zero L entry, and a pivot subtracts squares.
+    """
+    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
+    first: list[int] = []
+    low: list[list[float]] = []
+    root: list[float] = []
+    for k in range(a.rows):
+        lo, hi = offsets[k], offsets[k + 1]
+        f = cols[lo] if lo < hi and cols[lo] < k else k
+        row = [0.0] * (k - f)
+        acc = 0.0
+        for p in range(lo, hi):
+            j = cols[p]
+            if j >= k:
+                if j == k:
+                    acc = vals[p]
+                break
+            row[j - f] = vals[p]
+        for j in range(f, k):
+            s = row[j - f]
+            fj = first[j]
+            lj = low[j]
+            for m in range(max(f, fj), j):
+                s -= row[m - f] * lj[m - fj]
+            row[j - f] = s / root[j]
+        for v in row:
+            acc -= v * v
         if not (acc > 0.0):
             return False
-        low[k][k] = math.sqrt(acc)
-        for i in range(k + 1, n):
-            s = rows[i][k]
-            for j in range(k):
-                s -= low[i][j] * low[k][j]
-            low[i][k] = s / low[k][k]
+        first.append(f)
+        low.append(row)
+        root.append(math.sqrt(acc))
     return True
 
 
@@ -317,20 +341,6 @@ def _tridiagonal_band(a: SparseMatrix) -> tuple[list[float], list[float]]:
             elif j == i - 1:
                 sub[j] = v
     return diag, sub
-
-
-def _tridiagonal_cholesky_succeeds(diag, sub) -> bool:
-    # The dense factor of a tridiagonal matrix is bidiagonal: every other
-    # product the dense loop subtracts is an exact zero, so these are its
-    # pivots bit for bit.
-    low = 0.0
-    for k, d in enumerate(diag):
-        acc = d - low * low
-        if not (acc > 0.0):
-            return False
-        if k < len(sub):
-            low = sub[k] / math.sqrt(acc)
-    return True
 
 
 def _above_spectrum(e2, x: float) -> bool:
@@ -434,9 +444,14 @@ def classify(a: Matrix) -> MatrixProfile:
             recommendation="none convergent",
         )
     estimates = []
+    split = None
 
     def measured(method: Method) -> float:
-        t = _iteration_array(split_dlu(a), method)
+        # One split serves every measured radius; the closed forms need none.
+        nonlocal split
+        if split is None:
+            split = split_dlu(a)
+        t = _iteration_array(split, method)
         est = _power_radius(t, _CLASSIFY_TOL, _MAX_POWER_STEPS)
         estimates.append(est)
         return est.rho

@@ -37,6 +37,7 @@ from .stationary_solvers import (
     SolverConfig,
     SolveReport,
     _first_sweep,
+    _profile_rho,
     _sweep_fn,
     residual,
     solve,
@@ -372,11 +373,9 @@ def close_exits(network: FlowNetwork, exit_ids) -> FlowNetwork:
 
 
 def _predicted_counts(red: ReducedSystem, profile: MatrixProfile, config: SolverConfig):
-    candidates = (
-        (Method.jacobi(), profile.rho_jacobi),
-        (Method.gauss_seidel(), profile.rho_gauss_seidel),
-        (Method.sor(profile.sor_omega), profile.rho_sor) if profile.sor_omega else (None, None),
-    )
+    methods = [Method.jacobi(), Method.gauss_seidel()]
+    if profile.sor_omega:
+        methods.append(Method.sor(profile.sor_omega))
     n = red.normal_matrix.rows
     x0 = list(config.initial_guess.entries) if config.initial_guess is not None else [0.0] * n
     if len(x0) != n:
@@ -384,8 +383,9 @@ def _predicted_counts(red: ReducedSystem, profile: MatrixProfile, config: Solver
     split = split_dlu(red.normal_matrix)
     norm_a = inf_norm(red.normal_matrix)
     counts: dict[str, int] = {}
-    for method, rho in candidates:
-        if method is None or rho is None or not (0.0 < rho < 1.0):
+    for method in methods:
+        rho = _profile_rho(profile, method)
+        if rho is None or not (0.0 < rho < 1.0):
             continue
         step = _sweep_fn(split, method, red.normal_rhs)
         _, count = _first_sweep(step, x0, rho, norm_a, config)

@@ -42,6 +42,11 @@ def convdiff5(fixtures_dir):
     return str(fixtures_dir / "convdiff5.mat"), str(fixtures_dir / "convdiff5.rhs")
 
 
+@pytest.fixture
+def poisson10(fixtures_dir):
+    return str(fixtures_dir / "poisson10.mat"), str(fixtures_dir / "poisson10.rhs")
+
+
 class TestAnalyze:
     def test_text_profile(self, capsys, sec21):
         code, out, err = run(capsys, "analyze", sec21[0])
@@ -471,7 +476,10 @@ class TestGoldenOutput:
     neither storage nor the kernel may change a single printed digit.  The
     ``convdiff5`` files, a nonsymmetric grid whose radii are all measured
     by power iteration, were written by the column-by-column substitution
-    that the row-wise ``_iteration_array`` replaced.
+    that the row-wise ``_iteration_array`` replaced.  The ``poisson10``
+    files, a symmetric positive definite grid that is not tridiagonal, were
+    written by the dense Cholesky loop that the envelope factorization
+    replaced.
     """
 
     def test_solve_and_history(self, capsys, sec21, tmp_path):
@@ -550,3 +558,17 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert out == (GOLDEN / "aadt_sor_traffic_solve.out").read_text()
+
+    def test_symmetric_grid_analyze_json(self, capsys, poisson10):
+        code, out, err = run(capsys, "analyze", "--json", poisson10[0])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "poisson10_analyze.json").read_text()
+
+    def test_symmetric_grid_solve_and_history(self, capsys, poisson10, tmp_path):
+        history = tmp_path / "history.csv"
+        code, out, err = run(
+            capsys, "solve", *poisson10, "--eta", "1e-8", "--history", str(history)
+        )
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "poisson10_solve.out").read_text()
+        assert history.read_text() == (GOLDEN / "poisson10_history.csv").read_text()

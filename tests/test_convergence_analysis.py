@@ -18,13 +18,15 @@ from ringsolve import (
     estimate_iterations,
     iteration_matrix,
     optimal_omega,
+    parse_matrix,
     reduce,
     select_method,
     sor_radius,
     spectral_radius,
+    split_dlu,
     structure_flags,
 )
-from ringsolve.convergence_analysis import _cholesky_succeeds
+from ringsolve import convergence_analysis
 
 SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 
@@ -34,17 +36,60 @@ signed_entries = st.one_of(
 )
 
 
+def dense_cholesky_succeeds(rows) -> bool:
+    """The textbook column-by-column Cholesky loop on a dense symmetric
+    matrix: whether every pivot stays positive.  The oracle for the
+    envelope factorization in ``structure_flags``."""
+    n = len(rows)
+    low = [[0.0] * n for _ in range(n)]
+    for k in range(n):
+        acc = rows[k][k]
+        for j in range(k):
+            acc -= low[k][j] * low[k][j]
+        if not (acc > 0.0):
+            return False
+        low[k][k] = math.sqrt(acc)
+        for i in range(k + 1, n):
+            s = rows[i][k]
+            for j in range(k):
+                s -= low[i][j] * low[k][j]
+            low[i][k] = s / low[k][k]
+    return True
+
+
 @st.composite
 def flagged_matrices(draw):
     """(DenseMatrix, SparseMatrix) of one square matrix that is, by draw,
-    symmetric, tridiagonal, both or neither, with signed zeros; the sparse
-    form also stores a random subset of the +0.0 entries."""
-    shape = draw(st.sampled_from(["symmetric", "symmetric tridiagonal", "tridiagonal", "any"]))
+    symmetric, tridiagonal, both or neither, or symmetric with a ragged
+    envelope (an arrow, a wide band, or a random first column per row),
+    with signed zeros; the sparse form also stores a random subset of the
+    +0.0 entries."""
+    shape = draw(
+        st.sampled_from(
+            ["symmetric", "symmetric tridiagonal", "tridiagonal", "any", "symmetric envelope"]
+        )
+    )
     symmetric = shape.startswith("symmetric")
     tridiagonal = shape.endswith("tridiagonal")
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10 if shape.endswith("envelope") else 6))
     shift = draw(st.sampled_from([0.0, 4.0, 30.0]))
     rows = [[draw(signed_entries) for _ in range(n)] for _ in range(n)]
+    if shape.endswith("envelope"):
+        # Zero the upper entries (j, i) that row i's envelope leaves out;
+        # the lower triangle mirrors them below.
+        kind = draw(st.sampled_from(["arrow", "band", "random first column"]))
+        width = draw(st.integers(1, n))
+        for i in range(n):
+            first = draw(st.integers(0, i)) if kind == "random first column" else 0
+            for j in range(i):
+                if kind == "arrow":
+                    inside = j == 0
+                elif kind == "band":
+                    inside = i - j <= width
+                else:
+                    inside = j >= first
+                if not inside:
+                    rows[j][i] = draw(st.sampled_from([0.0, -0.0]))
     for i in range(n):
         rows[i][i] += shift
         for j in range(n):
@@ -84,7 +129,7 @@ def definitional_flags(rows):
         "is_tridiagonal": all(
             rows[i][j] == 0.0 for i in range(n) for j in range(n) if abs(i - j) > 1
         ),
-        "is_positive_definite": symmetric and _cholesky_succeeds(rows, n),
+        "is_positive_definite": symmetric and dense_cholesky_succeeds(rows),
         "has_zero_diagonal": any(rows[i][i] == 0.0 for i in range(n)),
     }
 
@@ -372,6 +417,30 @@ class TestStructureFlags:
         assert structure_flags(sparse) == want
         assert structure_flags(dense) == want
 
+    @given(flagged_matrices(), st.sampled_from([1e-6, -1e-6]))
+    def test_positive_definiteness_at_the_edge_of_the_spectrum_property(self, pair, margin):
+        # Shifting the smallest eigenvalue to +-margin makes the answer
+        # depend on every L entry, not only on the first pivots.
+        m = np.array(pair[0].to_rows())
+        assume((m == m.T).all())
+        shift = margin * max(1.0, float(np.abs(m).max())) - float(np.linalg.eigvalsh(m)[0])
+        rows = (m + shift * np.eye(len(m))).tolist()
+        flags = structure_flags(SparseMatrix.from_dense(DenseMatrix.from_rows(rows)))
+        assert flags["is_positive_definite"] == (margin > 0.0) == dense_cholesky_succeeds(rows)
+
+    def test_positive_definiteness_never_densifies(self, monkeypatch, fixtures_dir):
+        grid = parse_matrix((fixtures_dir / "poisson10.mat").read_text())
+        ring = reduce(*ring_system([0.0] * 64)).normal_matrix
+
+        def refuse(self):
+            raise AssertionError("structure_flags made a matrix dense")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+        for a in (grid, ring):
+            flags = structure_flags(a)
+            assert flags["is_symmetric"] and flags["is_positive_definite"]
+        assert not structure_flags(grid)["is_tridiagonal"]
+
 
 class TestClassify:
     def test_identity_all_radii_zero_prefers_gauss_seidel(self):
@@ -382,6 +451,20 @@ class TestClassify:
         assert profile.omega_star == 1.0
         assert profile.recommendation == Method.gauss_seidel()
         assert profile.predicted_iterations is None
+
+    def test_splits_once_when_measuring_and_never_for_closed_forms(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return split_dlu(a)
+
+        monkeypatch.setattr(convergence_analysis, "split_dlu", counting)
+        profile = classify(SEC21)
+        assert profile.omega_star is None and len(calls) == 1
+        calls.clear()
+        profile = classify(reduce(*ring_system([0.0] * 16)).normal_matrix)
+        assert profile.omega_star is not None and calls == []
 
     def test_overflowing_iteration_matrix_names_its_first_bad_entry(self):
         # Nonsymmetric, so the radii are measured; T_jacobi[1][0] is
@@ -498,7 +581,7 @@ class TestClosedFormRadii:
         profile = classify(a)
         if reach == 0.5:
             assert profile.is_positive_definite
-        assert profile.is_positive_definite == _cholesky_succeeds(rows, len(diag))
+        assert profile.is_positive_definite == dense_cholesky_succeeds(rows)
 
         want_j = _dense_radius(a, Method.jacobi())
         want_g = _dense_radius(a, Method.gauss_seidel())
@@ -521,7 +604,7 @@ class TestClosedFormRadii:
         rows = _tridiagonal([float(d) for d in diag], [float(v) for v in sub[: len(diag) - 1]])
         flags = structure_flags(DenseMatrix.from_rows(rows))
         assert flags["is_tridiagonal"] and flags["is_symmetric"]
-        assert flags["is_positive_definite"] == _cholesky_succeeds(rows, len(diag))
+        assert flags["is_positive_definite"] == dense_cholesky_succeeds(rows)
 
     def test_overflowing_scaled_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
