@@ -14,6 +14,22 @@ The solve driver defers the first residual check until the predicted
 iteration count (when a spectral-radius estimate below 1 is supplied) and
 checks every iteration after that.  Residuals are always recomputed as
 b - A x by a fresh matrix-vector product, never updated incrementally.
+
+Nothing is checked between sweep 2 and the first check, so on a
+tridiagonal system with at least ``_PIPELINE_MIN_ROWS`` = 128 unknowns
+that stretch runs as one numpy wavefront (``_pipelined``): entry i of
+sweep k is computed on wave i + 2k, and every sweep of the stretch is in
+flight at once.  Each entry gets the kernel's IEEE operations in the
+kernel's order, numpy rounds each operation separately with no fused
+multiply-add, and a missing end neighbour contributes -0.0, which leaves
+every double unchanged.  So every iterate is bit-identical to the Python
+kernel's, and the kernel stays the definition of a sweep: it runs the
+first sweep, every sweep after a failed first check, small and
+non-tridiagonal systems, and solves without a prediction.  The threshold
+sits past the measured crossover, where the wavefront is faster in every
+run: against the kernel it ran at 0.7-1.0x the speed at 63 unknowns,
+1.05-1.4x at 95, 1.0-1.5x at 127, 2.4-3.3x at 255 and 4.5-6.6x at 511
+(SOR, 4n + 99 sweeps, best of 3 to 5, on a shared 2-core machine).
 """
 
 from __future__ import annotations
@@ -56,6 +72,11 @@ METHOD_TAGS = ("jacobi", "gauss-seidel", "sor")
 
 # Iterates whose magnitude passes this bound abort the solve as divergent.
 _DIVERGENCE_BOUND = 1e150
+
+# Tridiagonal systems with at least this many unknowns run their deferred
+# sweeps as one numpy wavefront; below it the Python kernel is as fast or
+# faster (see the module docstring for the measurement).
+_PIPELINE_MIN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -313,12 +334,126 @@ def _residual_norm(rows, xs, b) -> float:
     return math.sqrt(acc)
 
 
-def _sweep_fn(split: TriangularSplit, method: Method, b: Vector):
-    """One sweep of ``method`` as a function from list to list of floats."""
-    d, rows = _kernel_rows(split)
+def _sweep_fn(d, rows, method: Method, b: Vector):
+    """One sweep of ``method`` on ``_kernel_rows`` output, from list to list."""
     bs, jacobi = b.entries, method.tag == "jacobi"
     omega = None if method.omega is None else float(method.omega)
     return lambda xs: _sweep(d, rows, xs, bs, omega, jacobi)
+
+
+def _tridiagonal_band(rows):
+    """Per-row (j, -A_ij) values of columns i - 1 and i + 1, or None.
+
+    None unless every row's pairs are exactly column i - 1 then column
+    i + 1, where row 0 has only i + 1 and row n - 1 only i - 1.  The
+    missing end neighbours get the coefficient +0.0.
+    """
+    n = len(rows)
+    lower, upper = [0.0] * n, [0.0] * n
+    for i, row in enumerate(rows):
+        if [j for j, _ in row] != [j for j in (i - 1, i + 1) if 0 <= j < n]:
+            return None
+        for j, v in row:
+            if j < i:
+                lower[i] = v
+            else:
+                upper[i] = v
+    return lower, upper
+
+
+def _pipelined(d, lower, upper, b, x1, last: int, method: Method, stride: int):
+    """Sweeps 2 .. ``last`` of a tridiagonal system from x1, as one wavefront.
+
+    Entry i of sweep k is computed on wave t = i + 2k (Lamport's hyperplane
+    method), so every sweep of the stretch is in flight at once and a wave
+    is a few ufuncs on stride -2 slices of the reversed coefficient arrays.
+    ``bufs[t % 4][k]`` holds the wave-t entry of sweep k.  A wave reads
+    wave t - 1 for the i + 1 neighbour from sweep k - 1 and, in
+    Gauss-Seidel and SOR, the i - 1 neighbour from sweep k; wave t - 2 for
+    SOR's old value; and wave t - 3 for Jacobi's i - 1 neighbour from sweep
+    k - 1.  Memory is O(last), plus one n-vector per captured sweep in
+    flight.
+
+    The slots that stand for rows -1 and n hold -0.0: a sweep's column is
+    untouched before its first wave, and row n is written once the sweep
+    is done.  Times the end rows' +0.0 coefficient, -0.0 gives a -0.0
+    term, and adding -0.0 leaves every double unchanged, -0.0 included.
+    So each entry gets ``_sweep``'s IEEE operations in ``_sweep``'s order,
+    and as numpy rounds each operation separately, every iterate is
+    bit-identical to the Python kernel's.
+
+    Yields (k, x_k as a list) for every multiple k < ``last`` of ``stride``
+    and then for ``last``, each on the wave that completes it.  Raises the
+    ``DivergenceError`` of the first sweep with an entry that is not finite
+    or exceeds 1e150, once every sweep before it is complete.
+    """
+    n = len(d)
+    rb, rd, rlo, rup = (np.array(v[::-1], dtype=np.float64) for v in (b, d, lower, upper))
+    jacobi = method.tag == "jacobi"
+    omega = None if method.omega is None else float(method.omega)
+    keep = None if omega is None else 1.0 - omega
+    bufs = list(np.full((4, last + 1), -0.0))
+    # Captured sweeps in flight at once never exceed ``slots``, so a slot
+    # is yielded before a later capture reuses it.
+    slots = min((n - 1) // (2 * stride) + 1, last // stride)
+    captured = np.empty((slots, n))
+    flat = captured.reshape(-1)
+    step = n - 2 * stride
+    final = np.empty(n)
+    # A sum of squares below the squared bound clears every entry at once
+    # (each rounded square is at most the sum, NaN and inf propagate).
+    cleared = _DIVERGENCE_BOUND * _DIVERGENCE_BOUND
+    bad = None
+    t = 2
+    for k_out in [*range(max(stride, 2), last, stride), last]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t < 2 * k_out + n:
+                lo_k = (t - n + 2) >> 1
+                hi_k = t >> 1 if t < 2 * last else last
+                now, back1 = bufs[t & 3], bufs[(t - 1) & 3]
+                if lo_k <= 1:
+                    lo_k = 1
+                    now[1] = x1[t - 2]
+                lo_c = lo_k if lo_k > 1 else 2
+                if lo_c <= hi_k:
+                    cur, prev = slice(lo_c, hi_k + 1), slice(lo_c - 1, hi_k)
+                    rows = slice(n - 1 - t + 2 * lo_c, n - t + 2 * hi_k, 2)
+                    acc = rlo[rows] * (bufs[(t - 3) & 3][prev] if jacobi else back1[cur])
+                    acc += rb[rows]
+                    acc += rup[rows] * back1[prev]
+                    acc /= rd[rows]
+                    if omega is not None:
+                        acc *= omega
+                        acc += keep * bufs[(t - 2) & 3][prev]
+                    now[cur] = acc
+                    if not acc.dot(acc) < cleared:
+                        over = np.flatnonzero(~(np.abs(acc) <= _DIVERGENCE_BOUND))
+                        if over.size and (bad is None or lo_c + over[0] < bad):
+                            bad = lo_c + int(over[0])
+                    k = -(-lo_c // stride) * stride
+                    while k <= hi_k:
+                        # Captures from k on lie ``step`` apart in ``flat``
+                        # until the slot index wraps; two share a wave only
+                        # when step >= 1.
+                        q = k // stride % slots
+                        run = min((hi_k - k) // stride + 1, slots - q)
+                        at = q * n + t - 2 * k
+                        if run == 1:
+                            flat[at] = acc[k - lo_c]
+                        else:
+                            flat[at : at + (run - 1) * step + 1 : step] = acc[
+                                k - lo_c : k - lo_c + (run - 1) * stride + 1 : stride
+                            ]
+                        k += run * stride
+                    if hi_k == last:
+                        final[t - 2 * last] = acc[-1]
+                now[lo_k - 1] = -0.0
+                if bad is not None and t == 2 * bad + n - 1:
+                    raise DivergenceError(f"iterate diverged at iteration {bad}")
+                t += 1
+        if k_out < last:
+            yield k_out, captured[k_out // stride % slots].tolist()
+    yield last, final.tolist()
 
 
 def _check_iterate(xs, k: int) -> None:
@@ -331,6 +466,23 @@ def _check_iterate(xs, k: int) -> None:
     for v in xs:
         if not math.isfinite(v) or abs(v) > _DIVERGENCE_BOUND:
             raise DivergenceError(f"iterate diverged at iteration {k}")
+
+
+def _iterates(step, x1, stretch, max_iterations: int):
+    """(k, x_k) for the sweeps k = 1 .. max_iterations.
+
+    x1 is given; the ``stretch`` generator, when not empty, stands in for
+    sweeps 2 .. its last k and yields only the iterates it captures.
+    Every later sweep is one ``step``, checked for divergence.
+    """
+    k, xs = 1, x1
+    yield k, xs
+    for k, xs in stretch:
+        yield k, xs
+    for k in range(k + 1, max_iterations + 1):
+        xs = step(xs)
+        _check_iterate(xs, k)
+        yield k, xs
 
 
 def _first_sweep(step, x0, rho: float | None, norm_a: float, config: SolverConfig):
@@ -379,8 +531,12 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     method (for SOR: the profiled weight, or any weight when the profile
     has an optimal weight), the predicted iteration count is computed from the
     first step and residual checks start only there; otherwise every
-    iteration is checked.  Aborts with ``DivergenceError`` if an iterate
-    exceeds 1e150 or stops being finite.
+    iteration is checked.  On a tridiagonal system with at least 128
+    unknowns, sweeps 2 through the first check run as one numpy wavefront
+    whose iterates are bit-identical to the sweep kernel's; the history
+    residuals of that stretch are taken from each iterate as it completes.
+    Aborts with ``DivergenceError`` if an iterate exceeds 1e150 or stops
+    being finite, at the same iteration on either path.
     """
     method = config.method
     if method is None:
@@ -389,7 +545,8 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     if len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
     a = _csr(a)
-    step = _sweep_fn(split_dlu(a), method, b)
+    d, rows = _kernel_rows(split_dlu(a))
+    step = _sweep_fn(d, rows, method, b)
     a_rows = _residual_rows(a)
     x0 = config.initial_guess if config.initial_guess is not None else Vector.zeros(n)
     if len(x0) != n:
@@ -402,22 +559,19 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     history: list[tuple[int, float]] = []
 
     t0 = time.perf_counter()
-    xs = list(x0.entries)
-    predicted: int | None = None
-    first_check = 1
+    x1, predicted = _first_sweep(step, list(x0.entries), rho, norm_a, config)
+    first_check = 1 if predicted is None else predicted
+    stretch = ()
+    if first_check > 1 and n >= _PIPELINE_MIN_ROWS:
+        band = _tridiagonal_band(rows)
+        if band is not None:
+            stretch = _pipelined(d, *band, b.entries, x1, first_check, method, stride)
     converged = False
-    # The last loop iteration always lands in the check branch, so both of
-    # these are overwritten before the loop ends.
+    # The last iterate always lands in the check branch, so both of these
+    # are overwritten before the loop ends.
     final_k = 0
     final_rnorm = math.inf
-    for k in range(1, config.max_iterations + 1):
-        if k == 1:
-            xs, predicted = _first_sweep(step, xs, rho, norm_a, config)
-            if predicted is not None:
-                first_check = predicted
-        else:
-            xs = step(xs)
-            _check_iterate(xs, k)
+    for k, xs in _iterates(step, x1, stretch, config.max_iterations):
         rnorm: float | None = None
         if k % stride == 0:
             rnorm = _residual_norm(a_rows, xs, b.entries)

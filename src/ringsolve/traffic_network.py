@@ -37,6 +37,7 @@ from .stationary_solvers import (
     SolverConfig,
     SolveReport,
     _first_sweep,
+    _kernel_rows,
     _profile_rho,
     _sweep_fn,
     residual,
@@ -380,14 +381,14 @@ def _predicted_counts(red: ReducedSystem, profile: MatrixProfile, config: Solver
     x0 = list(config.initial_guess.entries) if config.initial_guess is not None else [0.0] * n
     if len(x0) != n:
         raise ValueError(f"initial guess has {len(x0)} entries, expected {n}")
-    split = split_dlu(red.normal_matrix)
+    d, rows = _kernel_rows(split_dlu(red.normal_matrix))
     norm_a = inf_norm(red.normal_matrix)
     counts: dict[str, int] = {}
     for method in methods:
         rho = _profile_rho(profile, method)
         if rho is None or not (0.0 < rho < 1.0):
             continue
-        step = _sweep_fn(split, method, red.normal_rhs)
+        step = _sweep_fn(d, rows, method, red.normal_rhs)
         _, count = _first_sweep(step, x0, rho, norm_a, config)
         if count is not None:
             counts[method.tag] = count

@@ -479,7 +479,12 @@ class TestGoldenOutput:
     that the row-wise ``_iteration_array`` replaced.  The ``poisson10``
     files, a symmetric positive definite grid that is not tridiagonal, were
     written by the dense Cholesky loop that the envelope factorization
-    replaced.
+    replaced.  The ``ring256`` and ``tri200`` files, tridiagonal systems
+    with at least 128 unknowns, were written when every sweep ran in the
+    Python kernel; they pin the wavefront that now runs the deferred
+    sweeps.  The forced-method ring runs stop at ``--max-iter`` and print
+    the last iterate of the whole stretch; ``tri200`` records a residual
+    on every sweep of it.
     """
 
     def test_solve_and_history(self, capsys, sec21, tmp_path):
@@ -572,3 +577,38 @@ class TestGoldenOutput:
         assert code == 0 and err == ""
         assert out == (GOLDEN / "poisson10_solve.out").read_text()
         assert history.read_text() == (GOLDEN / "poisson10_history.csv").read_text()
+
+    def test_large_ring_traffic_solve(self, capsys, fixtures_dir):
+        code, out, err = run(
+            capsys, "traffic", "solve", "--aadt", str(fixtures_dir / "ring256.csv")
+        )
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "ring256_traffic_solve.out").read_text()
+
+    @pytest.mark.parametrize(
+        "golden,args",
+        [
+            ("ring256_gs_traffic_solve.out", ["--method", "gauss-seidel", "--max-iter", "700"]),
+            ("ring256_jacobi_traffic_solve.out", ["--method", "jacobi", "--max-iter", "400"]),
+            (
+                "ring256_sor_traffic_solve.out",
+                ["--method", "sor", "--omega", "1.2", "--max-iter", "900"],
+            ),
+        ],
+    )
+    def test_large_ring_forced_methods_stop_at_max_iter(
+        self, capsys, fixtures_dir, golden, args
+    ):
+        code, out, err = run(
+            capsys, "traffic", "solve", "--aadt", str(fixtures_dir / "ring256.csv"), *args
+        )
+        assert code == 2 and "did not converge" in err
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_large_tridiagonal_solve_and_history(self, capsys, fixtures_dir, tmp_path):
+        history = tmp_path / "history.csv"
+        matrix, rhs = fixtures_dir / "tri200.mat", fixtures_dir / "tri200.rhs"
+        code, out, err = run(capsys, "solve", str(matrix), str(rhs), "--history", str(history))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "tri200_solve.out").read_text()
+        assert history.read_text() == (GOLDEN / "tri200_history.csv").read_text()

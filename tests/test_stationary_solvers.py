@@ -3,12 +3,14 @@
 import math
 import random
 import re
+import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bits, tridiag, vec_bits
+from conftest import bits, ring_system, tridiag, vec_bits
 from ringsolve import (
     DenseMatrix,
     DivergenceError,
@@ -24,6 +26,7 @@ from ringsolve import (
     jacobi_sweep,
     matvec,
     norm2,
+    reduce,
     residual,
     solve,
     solve_direct,
@@ -32,7 +35,17 @@ from ringsolve import (
     split_dlu,
 )
 from ringsolve.convergence_analysis import _power_radius
-from ringsolve.stationary_solvers import _iteration_array, _residual_norm, _residual_rows
+from ringsolve import stationary_solvers
+from ringsolve.stationary_solvers import (
+    _check_iterate,
+    _iteration_array,
+    _kernel_rows,
+    _pipelined,
+    _residual_norm,
+    _residual_rows,
+    _sweep_fn,
+    _tridiagonal_band,
+)
 
 SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 SEC21_B = Vector((-1.0, 2.0, 3.0))
@@ -608,6 +621,255 @@ class TestSolve:
         sparse_report = solve(SparseMatrix.from_dense(SEC21), SEC21_B, config)
         assert vec_bits(dense_report.solution) == vec_bits(sparse_report.solution)
         assert dense_report.iterations_run == sparse_report.iterations_run
+
+
+def band_matrix(diag, lower, upper, extra=()):
+    """CSR storing ``lower[i]`` at (i, i - 1), ``diag[i]`` at (i, i) and
+    ``upper[i]`` at (i, i + 1), a None value leaving the entry unstored, plus
+    the (i, j, value) triples of ``extra``."""
+    n = len(diag)
+    entries = {(i, i): diag[i] for i in range(n)}
+    for i in range(n):
+        if i > 0 and lower[i] is not None:
+            entries[i, i - 1] = lower[i]
+        if i < n - 1 and upper[i] is not None:
+            entries[i, i + 1] = upper[i]
+    entries.update({(i, j): v for i, j, v in extra})
+    offsets, cols, vals = [0], [], []
+    for i in range(n):
+        for j in sorted(j for r, j in entries if r == i):
+            cols.append(j)
+            vals.append(entries[i, j])
+        offsets.append(len(vals))
+    return SparseMatrix(n, n, tuple(offsets), tuple(cols), tuple(vals))
+
+
+# Signed zeros; magnitudes whose products overflow to inf or NaN; values
+# at and just past the divergence bound; and factors that pass the bound
+# a few sweeps into the stretch.
+rare_entries = st.sampled_from([0.0, -0.0, 1e200, -1e200, 1e150, -1.5e150, 1e10, -3e9])
+rare_diagonal = st.sampled_from([1e200, -1e-200])
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """(d, rows, b, x0): a tridiagonal system storing its whole band.
+
+    Off-diagonals are at most 0.6 of their row's diagonal, so sweeps stay
+    finite, or in half the draws up to 1e3, 1e6 or 1e12 times it, so they
+    pass the divergence bound within the stretch.  Then up to three
+    entries are overwritten from ``rare_entries`` or ``rare_diagonal``.
+    In a third of the draws b and
+    x0 hold only signed zeros, so every iterate is a signed zero whose
+    sign depends on each operation and its order; b_0 and b_(n-1) are
+    often -0.0.
+    """
+    n = draw(st.integers(1, 40))
+    diag = draw(st.lists(nonzero_diagonal, min_size=n, max_size=n))
+    scale = draw(st.sampled_from([0.6, 0.6, 0.6, 1e3, 1e6, 1e12]))
+    ratios = st.lists(st.floats(-scale, scale), min_size=n, max_size=n)
+    lower = [di * r for di, r in zip(diag, draw(ratios))]
+    upper = [di * r for di, r in zip(diag, draw(ratios))]
+    zeros = draw(st.integers(0, 2)) == 0
+    values = st.sampled_from([0.0, -0.0]) if zeros else st.floats(-100.0, 100.0)
+    b = draw(st.lists(values, min_size=n, max_size=n))
+    x0 = draw(st.lists(values, min_size=n, max_size=n))
+    ends = st.one_of(st.just(-0.0), values)
+    b[0], b[-1] = draw(ends), draw(ends)
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from([diag, lower, upper, b, x0]))
+        rare = rare_diagonal if target is diag else rare_entries
+        target[draw(st.integers(0, n - 1))] = draw(rare)
+    d, rows = _kernel_rows(split_dlu(band_matrix(diag, lower, upper)))
+    return d, rows, b, x0
+
+
+def hexes(xs):
+    """Bit patterns as ``float.hex``: -0.0 differs from 0.0, every NaN is 'nan'."""
+    return [float(v).hex() for v in xs]
+
+
+def one_sweep_at_a_time(d, rows, b, x1, last, method, stride):
+    """The wavefront's contract, by repeated ``_sweep`` calls: sweeps 2 ..
+    ``last`` from x1, yielding multiples of ``stride`` and ``last``."""
+    step = _sweep_fn(d, rows, method, Vector(tuple(b)))
+    xs = x1
+    for k in range(2, last + 1):
+        xs = step(xs)
+        _check_iterate(xs, k)
+        if k % stride == 0 or k == last:
+            yield k, xs
+
+
+def outcome(iterates):
+    """Every (k, bit patterns) yielded, then the divergence message if any."""
+    got = []
+    try:
+        for k, xs in iterates:
+            got.append((k, hexes(xs)))
+    except DivergenceError as exc:
+        got.append(str(exc))
+    return got
+
+
+def report_fields(report):
+    return (
+        hexes(report.solution.entries),
+        report.iterations_run,
+        report.predicted_iterations,
+        float(report.final_residual_norm).hex(),
+        [(k, float(r).hex()) for k, r in report.residual_history],
+        report.converged,
+    )
+
+
+def both_paths(monkeypatch, a, b, config, profile):
+    """``solve`` with the wavefront at every size, then never."""
+    got = []
+    for rows in (1, 10**9):
+        monkeypatch.setattr(stationary_solvers, "_PIPELINE_MIN_ROWS", rows)
+        try:
+            got.append(report_fields(solve(a, b, config, profile)))
+        except DivergenceError as exc:
+            got.append(str(exc))
+    return got
+
+
+class TestWavefront:
+    """The deferred stretch of a tridiagonal system, run as one wavefront,
+    against ``_sweep`` one sweep at a time, bit for bit."""
+
+    @given(
+        tridiagonal_systems(),
+        methods,
+        st.integers(2, 61),
+        st.one_of(st.integers(1, 8), st.integers(9, 70)),
+    )
+    def test_matches_one_sweep_at_a_time(self, system, method, last, stride):
+        d, rows, b, x0 = system
+        band = _tridiagonal_band(rows)
+        assert band is not None
+        x1 = _sweep_fn(d, rows, method, Vector(tuple(b)))(x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = outcome(one_sweep_at_a_time(d, rows, b, x1, last, method, stride))
+            got = outcome(_pipelined(d, *band, b, x1, last, method, stride))
+        assert got == want
+
+    @pytest.mark.parametrize("method", [Method.jacobi(), Method.sor(1.5)])
+    @pytest.mark.parametrize(
+        "b,raises",
+        [
+            # Squares summing past 1e300, every entry within the bound.
+            ([9e149] * 40, False),
+            ([1e150] * 40, False),
+            # One entry just past the bound, with a small sum of squares.
+            ([1.0] * 20 + [-1.5e150] + [1.0] * 19, True),
+        ],
+    )
+    def test_divergence_check_exact_at_the_bound(self, method, b, raises):
+        n = len(b)
+        d, rows = _kernel_rows(split_dlu(band_matrix([1.0] * n, [0.0] * n, [0.0] * n)))
+        want = outcome(one_sweep_at_a_time(d, rows, b, b, 9, method, 4))
+        assert isinstance(want[-1], str) == raises
+        assert outcome(_pipelined(d, *_tridiagonal_band(rows), b, b, 9, method, 4)) == want
+
+    def test_band_requires_both_neighbours_in_column_order(self):
+        full = band_matrix([4.0] * 4, [-1.0] * 4, [-1.0] * 4)
+        assert _tridiagonal_band(_kernel_rows(split_dlu(full))[1]) == (
+            [0.0, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 0.0],
+        )
+        gap = band_matrix([4.0] * 4, [-1.0, -1.0, None, -1.0], [-1.0] * 4)
+        wide = band_matrix([4.0] * 4, [-1.0] * 4, [-1.0] * 4, extra=[(3, 0, 0.0)])
+        for a in (gap, wide):
+            assert _tridiagonal_band(_kernel_rows(split_dlu(a))[1]) is None
+
+    @pytest.mark.parametrize("exits", [16, 129, 200, 300])
+    @pytest.mark.parametrize("stride", [1, 64])
+    def test_solve_same_on_both_paths_for_rings(self, monkeypatch, exits, stride):
+        rng = random.Random(exits)
+        a, b = ring_system([rng.uniform(-1.0, 1.0) for _ in range(exits - 1)] + [0.0])
+        red = reduce(a, b)
+        profile = classify(red.normal_matrix)
+        for method in (
+            Method.jacobi(),
+            Method.gauss_seidel(),
+            Method.sor(profile.omega_star),
+            Method.sor(1.2),
+        ):
+            config = SolverConfig(
+                method=method, eta=1e-6, max_iterations=400, history_stride=stride
+            )
+            got = both_paths(monkeypatch, red.normal_matrix, red.normal_rhs, config, profile)
+            assert got[0] == got[1]
+
+    def test_solve_same_on_both_paths_after_a_failed_first_check(self, monkeypatch):
+        # A radius far below the true one predicts too few sweeps, so the
+        # first check fails and the sweeps after it run one at a time.
+        a = tridiag(150)
+        b = Vector(tuple(float(i % 5 - 2) for i in range(150)))
+        config = SolverConfig(method=Method.gauss_seidel(), eta=1e-6, max_iterations=90)
+        got = both_paths(monkeypatch, a, b, config, fake_profile(rho_g=0.5))
+        assert got[0] == got[1]
+        _, iterations, predicted, _, _, converged = got[0]
+        assert predicted < iterations == 90 and not converged
+
+    @pytest.mark.parametrize(
+        "method", [Method.jacobi(), Method.gauss_seidel(), Method.sor(1.5)]
+    )
+    @pytest.mark.parametrize("stride", [1, 64])
+    def test_divergence_inside_the_stretch_same_on_both_paths(
+        self, monkeypatch, method, stride
+    ):
+        n = 200
+        a = band_matrix([1.0] * n, [-1.0] * n, [-1.05] * n)
+        b = Vector(tuple(float(i % 3 - 1) for i in range(n)))
+        profile = fake_profile(rho_j=0.9995, rho_g=0.9995, rho_s=0.9995, sor_omega=method.omega)
+        config = SolverConfig(method=method, eta=1e-6, max_iterations=5000, history_stride=stride)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = both_paths(monkeypatch, a, b, config, profile)
+        assert got[0] == got[1]
+        assert re.fullmatch(r"iterate diverged at iteration \d+", got[0])
+
+    @pytest.mark.parametrize(
+        "method", [Method.jacobi(), Method.gauss_seidel(), Method.sor(1.3)]
+    )
+    def test_off_band_patterns_fall_back_bit_for_bit(self, monkeypatch, method):
+        # Row 70 misses its i - 1 neighbour and has b_70 = -0.0; a +0.0
+        # stand-in coefficient would add +0.0 and lose the sign.  The stored
+        # zero at (5, 90) times an inf would be NaN where the band has none.
+        n = 140
+        lower = [-1.0] * n
+        lower[70] = None
+        b = [float(i % 4 - 1) for i in range(n)]
+        b[70] = -0.0
+        gap = band_matrix([3.0] * n, lower, [-1.0] * n)
+        wide = band_matrix([3.0] * n, [-1.0] * n, [-1.0] * n, extra=[(5, 90, 0.0)])
+        profile = fake_profile(rho_j=0.6, rho_g=0.4, rho_s=0.4, sor_omega=method.omega)
+        config = SolverConfig(method=method, eta=1e-12, max_iterations=300, history_stride=7)
+        for a in (gap, wide):
+            assert _tridiagonal_band(_kernel_rows(split_dlu(a))[1]) is None
+            got = both_paths(monkeypatch, a, Vector(tuple(b)), config, profile)
+            assert got[0] == got[1]
+
+    def test_stride_one_holds_half_the_band_of_iterates_at_most(self):
+        # Sweeps in flight span (n - 1) / 2 + 1 sweeps, so capturing every
+        # sweep holds about n^2 / 2 floats (4.2 MB at 1023 unknowns), not
+        # the whole stretch: here 400 iterates would take 816 kB.
+        n, last = 255, 400
+        d, rows = _kernel_rows(split_dlu(tridiag(n)))
+        band = _tridiagonal_band(rows)
+        x1 = [1.0] * n
+        tracemalloc.start()
+        try:
+            for _ in _pipelined(d, *band, [0.0] * n, x1, last, Method.gauss_seidel(), 1):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (n // 2 + 1) + 100_000
 
 
 class TestContractionEnvelope:
