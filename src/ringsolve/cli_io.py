@@ -479,8 +479,9 @@ def _cmd_traffic_solve(args) -> int:
             method = _forced_method("sor", None, pre)
         else:
             method = _forced_method(args.method, args.omega, None)
+    # No history is printed, so no residual is wanted before the checks.
     config = SolverConfig(
-        method=method, eta=args.eta, max_iterations=args.max_iter, history_stride=64
+        method=method, eta=args.eta, max_iterations=args.max_iter, history_stride=args.max_iter
     )
     flows, report, profile = solve_traffic(network, config)
     chosen = method if method is not None else profile.recommendation

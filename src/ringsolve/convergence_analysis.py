@@ -87,8 +87,8 @@ class MatrixProfile:
     SOR weight's hypotheses hold (SPD, tridiagonal, rho_jacobi < 1);
     ``sor_omega`` always records the weight rho_sor was measured at, so
     ``omega_star is None`` with ``rho_sor`` present flags a non-optimal
-    fallback profile.  ``predicted_iterations`` maps method tags to a
-    priori counts; it stays None until a solve supplies a right-hand side.
+    fallback profile.  A priori iteration counts need a right-hand side,
+    so they live in ``SolveReport.predicted_counts``, not here.
     ``radii_converged`` is False when any radius came from a power
     iteration that ran out of steps before its estimate settled.
     """
@@ -105,7 +105,6 @@ class MatrixProfile:
     omega_star: float | None
     sor_omega: float | None
     recommendation: Method | str
-    predicted_iterations: dict[str, int] | None = None
     radii_converged: bool = True
 
     def __post_init__(self):

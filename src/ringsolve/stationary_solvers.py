@@ -140,7 +140,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of an iterative solve."""
+    """Outcome of an iterative solve.
+
+    ``predicted_counts`` maps "jacobi", "gauss-seidel" and "sor" (at the
+    profile's ``sor_omega``) to the a priori counts ``solve`` computes from
+    its profile; it is empty without one.
+    """
 
     solution: Vector
     iterations_run: int
@@ -149,6 +154,7 @@ class SolveReport:
     residual_history: tuple[tuple[int, float], ...]
     converged: bool
     wall_time: float
+    predicted_counts: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -531,10 +537,12 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     method (for SOR: the profiled weight, or any weight when the profile
     has an optimal weight), the predicted iteration count is computed from the
     first step and residual checks start only there; otherwise every
-    iteration is checked.  On a tridiagonal system with at least 128
-    unknowns, sweeps 2 through the first check run as one numpy wavefront
-    whose iterates are bit-identical to the sweep kernel's; the history
-    residuals of that stretch are taken from each iterate as it completes.
+    iteration is checked.  ``predicted_counts`` holds the count of every
+    method with a profiled radius in (0, 1); no other code computes one.
+    On a tridiagonal system with at least 128 unknowns, sweeps 2 through
+    the first check run as one numpy wavefront whose iterates are
+    bit-identical to the sweep kernel's; the history residuals of that
+    stretch are taken from each iterate as it completes.
     Aborts with ``DivergenceError`` if an iterate exceeds 1e150 or stops
     being finite, at the same iteration on either path.
     """
@@ -585,6 +593,26 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
                 break
     wall = time.perf_counter() - t0
 
+    # The run method keeps its count; any other profiled method takes one
+    # first sweep on the same rows, and is left out if that iterate diverges.
+    counts: dict[str, int] = {}
+    profiled = [] if profile is None else [Method.jacobi(), Method.gauss_seidel()]
+    if profile is not None and profile.sor_omega is not None:
+        profiled.append(Method.sor(profile.sor_omega))
+    for other in profiled:
+        count = predicted
+        if other != method:
+            rho_o = _profile_rho(profile, other)
+            if rho_o is None or not (0.0 < rho_o < 1.0):
+                continue
+            step_o = _sweep_fn(d, rows, other, b)
+            try:
+                _, count = _first_sweep(step_o, x0.entries, rho_o, norm_a, config)
+            except DivergenceError:
+                continue
+        if count is not None:
+            counts[other.tag] = count
+
     if not history or history[-1][0] != final_k:
         history.append((final_k, final_rnorm))
     return SolveReport(
@@ -595,4 +623,5 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
         residual_history=tuple(history),
         converged=converged,
         wall_time=wall,
+        predicted_counts=counts,
     )

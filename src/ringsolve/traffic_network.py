@@ -27,22 +27,13 @@ from .matrix_core import (
     _matvec_list,
     _require_square,
     gram,
-    inf_norm,
     norm2,
-    split_dlu,
     transpose_matvec,
 )
-from .stationary_solvers import (
-    Method,
-    SolverConfig,
-    SolveReport,
-    _first_sweep,
-    _kernel_rows,
-    _profile_rho,
-    _sweep_fn,
-    residual,
-    solve,
-)
+# ``split_dlu`` and ``inf_norm`` are unused here but stay importable from
+# this module, where perfbench's tracer looks them up.
+from .matrix_core import inf_norm, split_dlu  # noqa: F401
+from .stationary_solvers import SolverConfig, SolveReport, residual, solve
 
 __all__ = [
     "Node",
@@ -373,28 +364,6 @@ def close_exits(network: FlowNetwork, exit_ids) -> FlowNetwork:
     return FlowNetwork(tuple(remaining), tuple(branches))
 
 
-def _predicted_counts(red: ReducedSystem, profile: MatrixProfile, config: SolverConfig):
-    methods = [Method.jacobi(), Method.gauss_seidel()]
-    if profile.sor_omega:
-        methods.append(Method.sor(profile.sor_omega))
-    n = red.normal_matrix.rows
-    x0 = list(config.initial_guess.entries) if config.initial_guess is not None else [0.0] * n
-    if len(x0) != n:
-        raise ValueError(f"initial guess has {len(x0)} entries, expected {n}")
-    d, rows = _kernel_rows(split_dlu(red.normal_matrix))
-    norm_a = inf_norm(red.normal_matrix)
-    counts: dict[str, int] = {}
-    for method in methods:
-        rho = _profile_rho(profile, method)
-        if rho is None or not (0.0 < rho < 1.0):
-            continue
-        step = _sweep_fn(d, rows, method, red.normal_rhs)
-        _, count = _first_sweep(step, x0, rho, norm_a, config)
-        if count is not None:
-            counts[method.tag] = count
-    return counts or None
-
-
 def solve_traffic(
     network: FlowNetwork, config: SolverConfig
 ) -> tuple[SegmentFlows, SolveReport, MatrixProfile]:
@@ -402,15 +371,16 @@ def solve_traffic(
 
     With ``config.method`` unset the method with the smallest measured
     spectral radius is selected.  The returned profile describes the
-    normal-equation system and carries the a priori iteration counts for
-    every convergent method; the returned flows report the least-squares
-    residual of the full (unreduced) system and flag unbalanced externals.
+    normal-equation system; the report's ``predicted_counts`` holds the a
+    priori iteration counts of every convergent method, as ``solve``
+    computes them from the one split it makes.  The returned flows report
+    the least-squares residual of the full (unreduced) system and flag
+    unbalanced externals.
     """
     a, b = assemble(network)
     red = reduce(a, b)
     profile = classify(red.normal_matrix)
     method = config.method if config.method is not None else select_method(profile)[0]
-    profile = replace(profile, predicted_iterations=_predicted_counts(red, profile, config))
     report = solve(red.normal_matrix, red.normal_rhs, replace(config, method=method), profile)
     full, c = reconstruct(report.solution)
     fit = norm2(residual(a, full, b))

@@ -524,6 +524,23 @@ class TestSolve:
     def test_no_prediction_without_profile(self):
         report = solve(SEC21, SEC21_B, SolverConfig(method=Method.jacobi(), eta=1e-6))
         assert report.predicted_iterations is None
+        assert report.predicted_counts == {}
+
+    def test_methods_whose_first_iterate_diverges_are_left_out_of_the_counts(self):
+        # T_jacobi has eigenvalues +-1/2, yet the first iterates of Jacobi
+        # (x1 = b) and of SOR at 1.5 pass 1e150; Gauss-Seidel's second
+        # entry cancels to 0 exactly.
+        a = DenseMatrix.from_rows([[1.0, 2.0**-172], [2.0**170, 1.0]])
+        b = Vector((2.0**490, 2.0**660))
+        profile = classify(a)
+        assert profile.recommendation == Method.gauss_seidel()
+        assert 0.0 < profile.rho_jacobi < 1.0 and 0.0 < profile.rho_sor < 1.0
+        report = solve(a, b, SolverConfig(method=profile.recommendation, eta=1e-3), profile)
+        assert report.converged
+        assert report.iterations_run == report.predicted_iterations == 336
+        assert report.predicted_counts == {"gauss-seidel": 336}
+        with pytest.raises(DivergenceError, match=r"^iterate diverged at iteration 1$"):
+            solve(a, b, SolverConfig(method=Method.jacobi(), eta=1e-3), profile)
 
     def test_sor_radius_used_only_when_weights_match(self):
         profile = fake_profile(rho_s=0.5, sor_omega=1.5)

@@ -1,6 +1,7 @@
 """Network model, ring assembly, reduction, and the traffic pipeline."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from ringsolve import (
     SparseMatrix,
     Vector,
     assemble,
+    classify,
     close_exits,
     generate_ring,
     matvec,
@@ -27,9 +29,12 @@ from ringsolve import (
     parse_network,
     reconstruct,
     reduce,
+    select_method,
+    solve,
     solve_direct,
     solve_traffic,
 )
+from ringsolve import matrix_core, stationary_solvers, traffic_network
 
 FIG1_EXTERNALS = (100.0, -50.0, 120.0, -150.0, 80.0, -100.0)
 FIG1_FLOWS = (150.0, 50.0, 100.0, -20.0, 130.0, 50.0)
@@ -394,19 +399,66 @@ class TestSolveTraffic:
         assert isinstance(profile.recommendation, Method)
         assert profile.recommendation.tag == "sor"
         assert profile.omega_star is not None
-        assert set(profile.predicted_iterations) == {"jacobi", "gauss-seidel", "sor"}
-        assert report.predicted_iterations == profile.predicted_iterations["sor"]
+        assert set(report.predicted_counts) == {"jacobi", "gauss-seidel", "sor"}
+        assert report.predicted_iterations == report.predicted_counts["sor"]
 
     def test_forced_method_is_used(self):
         network = ring_network(FIG1_EXTERNALS)
-        _, rep_j, prof_j = solve_traffic(
-            network, SolverConfig(method=Method.jacobi(), eta=1e-6)
-        )
+        _, rep_j, _ = solve_traffic(network, SolverConfig(method=Method.jacobi(), eta=1e-6))
         _, rep_g, _ = solve_traffic(
             network, SolverConfig(method=Method.gauss_seidel(), eta=1e-6)
         )
-        assert rep_j.predicted_iterations == prof_j.predicted_iterations["jacobi"]
+        assert rep_j.predicted_iterations == rep_j.predicted_counts["jacobi"]
+        assert rep_g.predicted_counts == rep_j.predicted_counts
         assert rep_g.iterations_run < rep_j.iterations_run
+
+    def test_forced_sor_weight_keeps_the_counts_at_the_profiled_weight(self):
+        network = ring_network(FIG1_EXTERNALS)
+        config = SolverConfig(method=Method.sor(1.2), eta=1e-6)
+        _, report, profile = solve_traffic(network, config)
+        assert profile.sor_omega == profile.omega_star != 1.2
+        # "sor" is counted at sor_omega; the run's own count is at 1.2.
+        assert report.predicted_counts == {"jacobi": 158, "gauss-seidel": 76, "sor": 20}
+        assert report.predicted_iterations == 45
+
+    def test_plain_solve_reports_the_pipeline_counts(self, fixtures_dir):
+        network = generate_ring(parse_aadt((fixtures_dir / "aadt_synthetic.csv").read_text()))
+        config = SolverConfig(eta=1e-3)
+        _, report, _ = solve_traffic(network, config)
+        red = reduce(*assemble(network))
+        profile = classify(red.normal_matrix)
+        plain = solve(
+            red.normal_matrix,
+            red.normal_rhs,
+            replace(config, method=select_method(profile)[0]),
+            profile,
+        )
+        assert plain.predicted_counts == report.predicted_counts
+        assert plain.predicted_iterations == report.predicted_iterations
+
+    def test_one_split_and_one_first_sweep_per_counted_method(self, monkeypatch):
+        # A 32-exit ring reduces to 31 unknowns, below the wavefront
+        # threshold, so every sweep, first sweeps included, is one kernel call.
+        externals = [float((7 * i) % 11 - 5) for i in range(31)]
+        network = ring_network(externals + [-sum(externals)])
+        splits, sweeps = [], []
+
+        def counting_split(a):
+            splits.append(a)
+            return matrix_core.split_dlu(a)
+
+        def counting_sweep(*args):
+            sweeps.append(args)
+            return kernel(*args)
+
+        kernel = stationary_solvers._sweep
+        monkeypatch.setattr(stationary_solvers, "split_dlu", counting_split)
+        monkeypatch.setattr(traffic_network, "split_dlu", counting_split)
+        monkeypatch.setattr(stationary_solvers, "_sweep", counting_sweep)
+        _, report, _ = solve_traffic(network, SolverConfig(eta=1e-6))
+        assert report.converged and len(report.predicted_counts) == 3
+        assert len(splits) == 1
+        assert len(sweeps) == report.iterations_run + len(report.predicted_counts) - 1
 
     @pytest.mark.parametrize(
         "fixture, eta, counts",
@@ -423,8 +475,8 @@ class TestSolveTraffic:
             network = parse_network(text)
         else:
             network = generate_ring(parse_aadt(text))
-        _, report, profile = solve_traffic(network, SolverConfig(eta=eta))
-        assert profile.predicted_iterations == counts
+        _, report, _ = solve_traffic(network, SolverConfig(eta=eta))
+        assert report.predicted_counts == counts
         assert report.predicted_iterations == counts["sor"]
 
     def test_unbalanced_externals_warn_and_fit_least_squares(self):
