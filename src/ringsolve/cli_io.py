@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .convergence_analysis import _FALLBACK_OMEGA, classify, select_method
 from .errors import NumericalError, ParseError
-from .matrix_core import DenseMatrix, Matrix, SparseMatrix, Vector
+from .matrix_core import DenseMatrix, Matrix, SparseMatrix, Vector, _csr
 from .stationary_solvers import Method, SolverConfig, solve
 from .traffic_network import (
     Branch,
@@ -411,7 +411,8 @@ def _exit_status(report, config: SolverConfig) -> int:
 
 def _cmd_solve(args) -> int:
     _check_omega_flag(args)
-    a = parse_matrix(Path(args.matrix).read_text())
+    # One CSR form serves classify and solve, so its row views are derived once.
+    a = _csr(parse_matrix(Path(args.matrix).read_text()))
     b = parse_vector(Path(args.rhs).read_text())
     x0 = parse_vector(Path(args.x0).read_text()) if args.x0 else None
     if a.rows != a.cols:

@@ -22,7 +22,8 @@ single-step ratio oscillates in those cases and never settles.
 Classification checks each method's sufficient condition (diagonal
 dominance for Jacobi, symmetric positive definite for Gauss-Seidel, SPD
 plus tridiagonal for SOR), obtains all three radii, and recommends the
-method with the smallest one.
+method with the smallest one.  All of it reads the split, kernel rows and
+band that the CSR matrix keeps (``matrix_core``), which ``solve`` reuses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergentMethodError
-from .matrix_core import DenseMatrix, Matrix, SparseMatrix, _csr, _require_square, split_dlu
+from .matrix_core import DenseMatrix, Matrix, TriangularSplit, _csr, _require_square
 # ``iteration_matrix`` is unused here but stays importable from this module,
 # where perfbench's tracer looks it up.
 from .stationary_solvers import Method, _iteration_array, iteration_matrix  # noqa: F401
@@ -154,7 +155,8 @@ def _power_radius(mat: np.ndarray, tol: float, max_steps: int) -> SpectralEstima
     stable = 0
     for k in range(1, max_steps + 1):
         w = mat @ v
-        g = float(np.linalg.norm(w))
+        # np.linalg.norm of a 1-D float64 array is exactly this.
+        g = math.sqrt(w.dot(w))
         if g == 0.0:
             # The iterate collapsed exactly: t is nilpotent on the seed,
             # which only happens when the spectral radius is 0.
@@ -234,58 +236,53 @@ def estimate_iterations(eta: float, rho: float, norm_a: float, first_step: float
 def structure_flags(a: Matrix) -> dict[str, bool]:
     """The six structure flags of a profile, by definitional checks.
 
-    Runs in O(nnz) on the CSR rows.  Symmetry looks up the transpose of
-    each stored entry, tridiagonality and zero diagonals are exact
-    comparisons, and dominance compares each |A_ii| against its
-    off-diagonal row sum, all over the stored entries.  Positive
-    definiteness is tested only for symmetric matrices, by one envelope
-    Cholesky factorization on the CSR rows that must keep every pivot
-    positive.  It meets the pivots of the dense factorization bit for bit
-    and costs O(sum of squared row envelopes): O(n) on tridiagonal input,
-    O(n bw^2) on a band of width bw, and no matrix is made dense.
+    Runs in O(nnz) on the split's kernel rows.  Symmetry matches each row's
+    nonzero strict lower entries with its column's nonzero strict upper
+    ones, tridiagonality and zero diagonals are exact comparisons, and
+    dominance compares each |A_ii| against its off-diagonal row sum.
+    Positive definiteness is tested only for symmetric matrices, by one
+    envelope Cholesky factorization on the same rows that must keep every
+    pivot positive.  It meets the pivots of the dense factorization bit for
+    bit and costs O(sum of squared row envelopes): O(n) on tridiagonal
+    input, O(n bw^2) on a band of width bw, and no matrix is made dense.
     """
     n = _require_square(a)
-    a = _csr(a)
-    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
-    stored = {}
-    for i in range(n):
-        for p in range(offsets[i], offsets[i + 1]):
-            stored[i, cols[p]] = vals[p]
-    symmetric = all(stored.get((j, i), 0.0) == v for (i, j), v in stored.items())
-    strict = True
-    weak = True
-    tridiagonal = True
+    split = _csr(a).split
+    diag = split.diag.entries
+    # above[i] collects the nonzero (j, -A_ji) with j < i, by ascending j.
+    above: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    symmetric = strict = weak = tridiagonal = True
     zero_diag = False
-    for i in range(n):
-        d = 0.0
+    for i, row in enumerate(split.kernel_rows):
+        d = abs(diag[i])
         off = 0.0
-        for p in range(offsets[i], offsets[i + 1]):
-            j, v = cols[p], vals[p]
-            if j == i:
-                d = abs(v)
-            else:
-                off += abs(v)
-                if abs(i - j) > 1 and v != 0.0:
+        below = []
+        for j, v in row:
+            off += abs(v)
+            if v != 0.0:
+                if j < i:
+                    below.append((j, v))
+                else:
+                    above[j].append((i, v))
+                if abs(i - j) > 1:
                     tridiagonal = False
-        if not (d > off):
-            strict = False
-        if not (d >= off):
-            weak = False
-        if d == 0.0:
-            zero_diag = True
+        symmetric = symmetric and below == above[i]
+        strict = strict and d > off
+        weak = weak and d >= off
+        zero_diag = zero_diag or d == 0.0
     return {
         "is_symmetric": symmetric,
         "is_strictly_diag_dominant": strict,
         "is_weakly_diag_dominant": weak,
         "is_tridiagonal": tridiagonal,
-        "is_positive_definite": symmetric and _cholesky_succeeds(a),
+        "is_positive_definite": symmetric and _cholesky_succeeds(split),
         "has_zero_diagonal": zero_diag,
     }
 
 
-def _cholesky_succeeds(a: SparseMatrix) -> bool:
-    """Whether the Cholesky factorization of a symmetric CSR matrix keeps
-    every pivot positive, read from its lower triangle.
+def _cholesky_succeeds(split: TriangularSplit) -> bool:
+    """Whether the Cholesky factorization of a symmetric matrix keeps every
+    pivot positive, read from its split's diagonal and lower kernel rows.
 
     Row k of L is built over its envelope only, columns f_k to k, where f_k
     is the first stored column of row k; left of it the dense factor is
@@ -295,22 +292,16 @@ def _cholesky_succeeds(a: SparseMatrix) -> bool:
     So the pivots are the dense ones bit for bit: a skipped zero can change
     only the sign of a zero L entry, and a pivot subtracts squares.
     """
-    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
     first: list[int] = []
     low: list[list[float]] = []
     root: list[float] = []
-    for k in range(a.rows):
-        lo, hi = offsets[k], offsets[k + 1]
-        f = cols[lo] if lo < hi and cols[lo] < k else k
+    for k, (acc, pairs) in enumerate(zip(split.diag.entries, split.kernel_rows)):
+        f = pairs[0][0] if pairs and pairs[0][0] < k else k
         row = [0.0] * (k - f)
-        acc = 0.0
-        for p in range(lo, hi):
-            j = cols[p]
-            if j >= k:
-                if j == k:
-                    acc = vals[p]
+        for j, v in pairs:
+            if j > k:
                 break
-            row[j - f] = vals[p]
+            row[j - f] = -v
         for j in range(f, k):
             s = row[j - f]
             fj = first[j]
@@ -326,20 +317,6 @@ def _cholesky_succeeds(a: SparseMatrix) -> bool:
         low.append(row)
         root.append(math.sqrt(acc))
     return True
-
-
-def _tridiagonal_band(a: SparseMatrix) -> tuple[list[float], list[float]]:
-    """The diagonal and the subdiagonal (entries A[i+1][i]) of a square matrix."""
-    n = a.rows
-    diag = [0.0] * n
-    sub = [0.0] * max(0, n - 1)
-    for i in range(n):
-        for j, v in a.row_items(i):
-            if j == i:
-                diag[i] = v
-            elif j == i - 1:
-                sub[j] = v
-    return diag, sub
 
 
 def _above_spectrum(e2, x: float) -> bool:
@@ -360,7 +337,8 @@ def _tridiagonal_jacobi_radius(diag, sub) -> float:
     T_jacobi is similar to B = D^-1/2 (L + U) D^-1/2, which is symmetric
     with zero diagonal and squared off-diagonals
     e_i^2 = A[i+1][i]^2 / (A[i][i] A[i+1][i+1]), so its spectrum is
-    symmetric about 0 and rho_j is its largest eigenvalue.  Bisection
+    symmetric about 0 and rho_j is its largest eigenvalue.  ``sub`` may be
+    negated, as (-s/d)(-s/d') rounds like (s/d)(s/d').  Bisection
     keeps lo at or below that eigenvalue and hi strictly above it until
     the two are adjacent floats; hi is returned.  The e_i^2 are
     invariant under power-of-two scaling, and so is the result.
@@ -442,22 +420,18 @@ def classify(a: Matrix) -> MatrixProfile:
             sor_omega=None,
             recommendation="none convergent",
         )
+    split = a.split
     estimates = []
-    split = None
 
     def measured(method: Method) -> float:
-        # One split serves every measured radius; the closed forms need none.
-        nonlocal split
-        if split is None:
-            split = split_dlu(a)
-        t = _iteration_array(split, method)
-        est = _power_radius(t, _CLASSIFY_TOL, _MAX_POWER_STEPS)
+        est = _power_radius(_iteration_array(split, method), _CLASSIFY_TOL, _MAX_POWER_STEPS)
         estimates.append(est)
         return est.rho
 
-    band = _tridiagonal_band(a) if flags["is_symmetric"] and flags["is_tridiagonal"] else None
-    if band is not None and all(d > 0.0 for d in band[0]):
-        rho_j = _tridiagonal_jacobi_radius(*band)
+    diag = split.diag.entries
+    if flags["is_symmetric"] and flags["is_tridiagonal"] and all(d > 0.0 for d in diag):
+        lower, _, _ = split.band
+        rho_j = _tridiagonal_jacobi_radius(diag, lower[1:])
         rho_g = rho_j * rho_j
     else:
         rho_j = measured(Method.jacobi())

@@ -13,12 +13,17 @@ leaves it unchanged, so a CSR routine gives bit for bit what the textbook
 dense loop gives on the same matrix.  The D - L - U splitting stores the
 negated strict triangles of A so that recomposing D - L - U reproduces A
 without performing any arithmetic beyond unary negation.
+
+Row views are derived once, on first use, and kept on the immutable object:
+a ``SparseMatrix`` keeps its ``split`` and ``residual_rows``, a split its
+``kernel_rows`` and ``band``, so ``classify`` and ``solve`` share them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SingularMatrixError
 
@@ -187,6 +192,20 @@ class SparseMatrix:
                 flat[i * self.cols + j] = v
         return DenseMatrix(self.rows, self.cols, tuple(flat))
 
+    @cached_property
+    def split(self) -> "TriangularSplit":
+        """The D - L - U split of ``split_dlu``, derived on first use only."""
+        return split_dlu(self)
+
+    @cached_property
+    def residual_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per row, the stored (j, A_ij) pairs in column order."""
+        offsets, cols, vals = self.row_offsets, self.col_indices, self.values
+        return tuple(
+            tuple(zip(cols[offsets[i] : offsets[i + 1]], vals[offsets[i] : offsets[i + 1]]))
+            for i in range(self.rows)
+        )
+
 
 @dataclass(frozen=True)
 class TriangularSplit:
@@ -212,6 +231,33 @@ class TriangularSplit:
             for j, _ in self.strict_upper.row_items(i):
                 if j <= i:
                     raise ValueError(f"strict_upper holds an entry at ({i}, {j})")
+
+    @cached_property
+    def kernel_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per row, the off-diagonal (j, -A_ij) pairs in column order: the
+        ``strict_lower`` items, then the ``strict_upper`` items."""
+        lower, upper = self.strict_lower, self.strict_upper
+        return tuple(
+            tuple(lower.row_items(i)) + tuple(upper.row_items(i)) for i in range(len(self.diag))
+        )
+
+    @cached_property
+    def band(self) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
+        """(lower, upper, exact): each row's kernel coefficients -A[i][i-1]
+        and -A[i][i+1], +0.0 where not stored, and whether every row stores
+        exactly those off-diagonal columns (row 0 only i + 1, row n - 1 only
+        i - 1), stored zeros included."""
+        n = len(self.diag)
+        lower, upper = [0.0] * n, [0.0] * n
+        exact = True
+        for i, row in enumerate(self.kernel_rows):
+            for j, v in row:
+                if j == i - 1:
+                    lower[i] = v
+                elif j == i + 1:
+                    upper[i] = v
+            exact = exact and [j for j, _ in row] == [j for j in (i - 1, i + 1) if 0 <= j < n]
+        return tuple(lower), tuple(upper), exact
 
     def recompose(self) -> DenseMatrix:
         """Rebuild A = D - L - U using only unary negation of stored entries."""
@@ -278,7 +324,8 @@ def split_dlu(a: Matrix) -> TriangularSplit:
 
     Zero diagonal entries are permitted here; solvers reject them later.
     The stored strict triangles are the negated parts of A, so recomposing
-    reproduces A bit for bit.
+    reproduces A bit for bit.  Each call derives a new split;
+    ``SparseMatrix.split`` derives one per matrix and keeps it.
     """
     n = _require_square(a)
     a = _csr(a)

@@ -3,7 +3,9 @@
 All three methods run one sweep kernel over the A = D - L - U splitting.
 Each row's off-diagonal (j, -A_ij) pairs are its ``strict_lower`` items
 followed by its ``strict_upper`` items, so a row sum adds its terms in
-ascending column order, starting from b_i.  Jacobi reads the previous
+ascending column order, starting from b_i: the split's ``kernel_rows``,
+which the CSR matrix keeps with its band and residual rows for ``classify``
+and ``solve`` to share (``matrix_core``).  Jacobi reads the previous
 iterate; Gauss-Seidel and SOR read the iterate being built.  Jacobi and
 Gauss-Seidel update x_i = acc / A_ii; SOR updates
 ``(1 - omega) * old + omega * (acc / A_ii)``.  At omega = 1 that blend
@@ -44,7 +46,6 @@ from .errors import DivergenceError, ZeroDiagonalError
 from .matrix_core import (
     DenseMatrix,
     Matrix,
-    SparseMatrix,
     TriangularSplit,
     Vector,
     _csr,
@@ -52,7 +53,7 @@ from .matrix_core import (
     inf_norm,
     matvec,
     norm2,
-    split_dlu,
+    split_dlu,  # noqa: F401  (unused here; perfbench's tracer looks it up)
 )
 
 __all__ = [
@@ -179,12 +180,10 @@ def _check_diag(diag) -> None:
 
 
 def _kernel_rows(split: TriangularSplit):
-    """Diagonal and, per row, the off-diagonal (j, -A_ij) pairs by column."""
+    """Diagonal and ``split.kernel_rows``, after the zero-diagonal check."""
     d = split.diag.entries
     _check_diag(d)
-    lower, upper = split.strict_lower, split.strict_upper
-    rows = [list(lower.row_items(i)) + list(upper.row_items(i)) for i in range(len(d))]
-    return d, rows
+    return d, split.kernel_rows
 
 
 def _sweep(d, rows, xs, b, omega: float | None, jacobi: bool) -> list[float]:
@@ -250,18 +249,15 @@ def _iteration_array(split: TriangularSplit, method: Method) -> np.ndarray:
     entry raises ``ValueError`` naming its row-major index, as
     ``DenseMatrix`` does.
     """
-    d = split.diag.entries
-    _check_diag(d)
+    d, rows = _kernel_rows(split)
     n = len(d)
     lower, upper = split.strict_lower, split.strict_upper
     t = np.zeros((n, n))
     # Overflow must reach the finiteness check below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if method.tag == "jacobi":
-            for i in range(n):
-                for j, v in lower.row_items(i):
-                    t[i, j] = v / d[i]
-                for j, v in upper.row_items(i):
+            for i, row in enumerate(rows):
+                for j, v in row:
                     t[i, j] = v / d[i]
         else:
             gs = method.tag == "gauss-seidel"
@@ -294,7 +290,7 @@ def iteration_matrix(a: Matrix, method: Method, b: Vector | None = None) -> Iter
     n = _require_square(a)
     if b is not None and len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
-    split = split_dlu(a)
+    split = _csr(a).split
     t = _iteration_array(split, method)
     d = split.diag.entries
     c = [0.0] * n
@@ -319,15 +315,6 @@ def residual(a: Matrix, x: Vector, b: Vector) -> Vector:
     return Vector(tuple(bi - yi for bi, yi in zip(b.entries, y.entries)))
 
 
-def _residual_rows(a: SparseMatrix) -> list[list[tuple[int, float]]]:
-    """Per row, the stored (j, A_ij) pairs in column order."""
-    offsets, cols, vals = a.row_offsets, a.col_indices, a.values
-    return [
-        list(zip(cols[offsets[i] : offsets[i + 1]], vals[offsets[i] : offsets[i + 1]]))
-        for i in range(a.rows)
-    ]
-
-
 def _residual_norm(rows, xs, b) -> float:
     """||b - A x||_2, each (A x)_i summed left to right from +0.0 as ``matvec`` does."""
     acc = 0.0
@@ -345,26 +332,6 @@ def _sweep_fn(d, rows, method: Method, b: Vector):
     bs, jacobi = b.entries, method.tag == "jacobi"
     omega = None if method.omega is None else float(method.omega)
     return lambda xs: _sweep(d, rows, xs, bs, omega, jacobi)
-
-
-def _tridiagonal_band(rows):
-    """Per-row (j, -A_ij) values of columns i - 1 and i + 1, or None.
-
-    None unless every row's pairs are exactly column i - 1 then column
-    i + 1, where row 0 has only i + 1 and row n - 1 only i - 1.  The
-    missing end neighbours get the coefficient +0.0.
-    """
-    n = len(rows)
-    lower, upper = [0.0] * n, [0.0] * n
-    for i, row in enumerate(rows):
-        if [j for j, _ in row] != [j for j in (i - 1, i + 1) if 0 <= j < n]:
-            return None
-        for j, v in row:
-            if j < i:
-                lower[i] = v
-            else:
-                upper[i] = v
-    return lower, upper
 
 
 def _pipelined(d, lower, upper, b, x1, last: int, method: Method, stride: int):
@@ -553,9 +520,10 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     if len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
     a = _csr(a)
-    d, rows = _kernel_rows(split_dlu(a))
+    split = a.split
+    d, rows = _kernel_rows(split)
     step = _sweep_fn(d, rows, method, b)
-    a_rows = _residual_rows(a)
+    a_rows = a.residual_rows
     x0 = config.initial_guess if config.initial_guess is not None else Vector.zeros(n)
     if len(x0) != n:
         raise ValueError(f"initial guess has {len(x0)} entries, expected {n}")
@@ -571,9 +539,9 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     first_check = 1 if predicted is None else predicted
     stretch = ()
     if first_check > 1 and n >= _PIPELINE_MIN_ROWS:
-        band = _tridiagonal_band(rows)
-        if band is not None:
-            stretch = _pipelined(d, *band, b.entries, x1, first_check, method, stride)
+        lower, upper, exact = split.band
+        if exact:
+            stretch = _pipelined(d, lower, upper, b.entries, x1, first_check, method, stride)
     converged = False
     # The last iterate always lands in the check branch, so both of these
     # are overwritten before the loop ends.

@@ -270,11 +270,12 @@ def generate_ring(spec: RingSpec) -> FlowNetwork:
 def reduce(a: Matrix, b: Vector) -> ReducedSystem:
     """Drop the last column of a singular balanced system and form normals.
 
-    Requires A times the all-ones vector to vanish (within 1e-9), the
-    structure that makes exactly one column redundant.  The returned
-    normal equations are square and CSR, built by ``gram`` without a
-    dense intermediate; for ring inputs the normal matrix is the SPD
-    tridiagonal matrix with 2 on the diagonal and -1 off it.
+    Requires A times the all-ones vector to vanish (within 1e-9); a network
+    of c > 1 disjoint cycles passes too, with a singular normal matrix, and
+    ``solve_traffic`` rejects it.  The returned normal equations are square
+    and CSR, built by ``gram`` without a dense intermediate; for ring inputs
+    the normal matrix is the SPD tridiagonal matrix with 2 on the diagonal
+    and -1 off it.
     """
     m = _require_square(a)
     if len(b) != m:
@@ -373,12 +374,17 @@ def solve_traffic(
     spectral radius is selected.  The returned profile describes the
     normal-equation system; the report's ``predicted_counts`` holds the a
     priori iteration counts of every convergent method, as ``solve``
-    computes them from the one split it makes.  The returned flows report
-    the least-squares residual of the full (unreduced) system and flag
-    unbalanced externals.
+    computes them from the split the normal matrix keeps.  The returned
+    flows report the least-squares residual of the full (unreduced) system
+    and flag unbalanced externals.
+
+    A network that is not one ring raises ``ReductionError``: once
+    ``reduce`` accepts it, it can only be several disjoint cycles.
     """
     a, b = assemble(network)
     red = reduce(a, b)
+    if not network.is_ring():
+        raise ReductionError("network is not one ring: its branches form several disjoint cycles")
     profile = classify(red.normal_matrix)
     method = config.method if config.method is not None else select_method(profile)[0]
     report = solve(red.normal_matrix, red.normal_rhs, replace(config, method=method), profile)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ringsolve import SolverConfig, cli, parse_network, parse_segments, solve_direct
-from ringsolve import parse_matrix, parse_vector, stationary_solvers, write_vector
+from ringsolve import matrix_core, parse_matrix, parse_vector, stationary_solvers, write_vector
 
 
 def run(capsys, *argv):
@@ -386,6 +386,25 @@ class TestTrafficSolve:
         _, second, _ = run(capsys, "traffic", "solve", "--aadt", aadt)
         assert first == second
 
+    @pytest.mark.parametrize("method", ["auto", "sor"])
+    def test_disjoint_rings_exit_2_without_segments(self, capsys, fixtures_dir, tmp_path, method):
+        # A bare '--method sor' classifies the reduced system before the solve.
+        out_path = tmp_path / "segments.csv"
+        network = str(fixtures_dir / "two_rings.network")
+        code, out, err = run(
+            capsys, "traffic", "solve", network, "--method", method, "--out", str(out_path)
+        )
+        assert code == 2 and out == ""
+        assert err == "error: network is not one ring: its branches form several disjoint cycles\n"
+        assert not out_path.exists()
+
+    def test_non_square_network_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "extra.network"
+        path.write_text("node A 1\nnode B -1\nbranch A B\nbranch B A\nbranch A B\n")
+        code, _, err = run(capsys, "traffic", "solve", str(path))
+        assert code == 1
+        assert "expected square" in err
+
     def test_non_convergence_exits_2(self, capsys, fixtures_dir):
         aadt = str(fixtures_dir / "aadt_synthetic.csv")
         code, out, err = run(
@@ -394,6 +413,24 @@ class TestTrafficSolve:
         assert code == 2
         assert pairs(out)["converged"] == "no"
         assert "did not converge within 5 iterations" in err
+
+
+class TestOneSplitPerRequest:
+    """``classify`` and ``solve`` read the split that the CSR matrix keeps."""
+
+    @pytest.mark.parametrize("name", ["sec21", "convdiff5"])
+    def test_solve_derives_the_split_once(self, capsys, monkeypatch, fixtures_dir, name):
+        calls = []
+        split_dlu = matrix_core.split_dlu
+
+        def counting(a):
+            calls.append(a)
+            return split_dlu(a)
+
+        monkeypatch.setattr(matrix_core, "split_dlu", counting)
+        mat, rhs = (str(fixtures_dir / f"{name}.{ext}") for ext in ("mat", "rhs"))
+        code, _, _ = run(capsys, "solve", mat, rhs)
+        assert code == 0 and len(calls) == 1
 
 
 class TestTrafficGenerate:

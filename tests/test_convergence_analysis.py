@@ -13,7 +13,9 @@ from ringsolve import (
     MatrixProfile,
     Method,
     NoConvergentMethodError,
+    SolverConfig,
     SparseMatrix,
+    Vector,
     classify,
     estimate_iterations,
     iteration_matrix,
@@ -21,12 +23,13 @@ from ringsolve import (
     parse_matrix,
     reduce,
     select_method,
+    solve,
     sor_radius,
     spectral_radius,
     split_dlu,
     structure_flags,
 )
-from ringsolve import convergence_analysis
+from ringsolve import matrix_core
 
 SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 
@@ -453,19 +456,24 @@ class TestClassify:
         # Counts need a right-hand side; they live on SolveReport.
         assert not hasattr(profile, "predicted_iterations")
 
-    def test_splits_once_when_measuring_and_never_for_closed_forms(self, monkeypatch):
+    def test_splits_once_and_a_later_solve_reuses_the_split(self, monkeypatch):
         calls = []
 
         def counting(a):
             calls.append(a)
             return split_dlu(a)
 
-        monkeypatch.setattr(convergence_analysis, "split_dlu", counting)
-        profile = classify(SEC21)
-        assert profile.omega_star is None and len(calls) == 1
-        calls.clear()
-        profile = classify(reduce(*ring_system([0.0] * 16)).normal_matrix)
-        assert profile.omega_star is not None and calls == []
+        monkeypatch.setattr(matrix_core, "split_dlu", counting)
+        red = reduce(*ring_system([1.0, -1.0] * 8))
+        # SEC21's radii are measured, the ring's are closed forms.
+        for a, b in (
+            (SparseMatrix.from_dense(SEC21), Vector((-1.0, 2.0, 3.0))),
+            (red.normal_matrix, red.normal_rhs),
+        ):
+            calls.clear()
+            profile = classify(a)
+            solve(a, b, SolverConfig(method=select_method(profile)[0], eta=1e-6), profile)
+            assert calls == [a]
 
     def test_overflowing_iteration_matrix_names_its_first_bad_entry(self):
         # Nonsymmetric, so the radii are measured; T_jacobi[1][0] is

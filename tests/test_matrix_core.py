@@ -249,6 +249,85 @@ class TestSplitDlu:
             TriangularSplit(good.diag, good.strict_upper, good.strict_upper)
 
 
+def band_oracle(rows):
+    """The wavefront's exact band rule, stated on its own: per row the
+    (j, -A_ij) values of columns i - 1 and i + 1, or None unless every row's
+    pairs are exactly column i - 1 then column i + 1 (row 0 only i + 1, row
+    n - 1 only i - 1).  The missing end neighbours get +0.0."""
+    n = len(rows)
+    lower, upper = [0.0] * n, [0.0] * n
+    for i, row in enumerate(rows):
+        if [j for j, _ in row] != [j for j in (i - 1, i + 1) if 0 <= j < n]:
+            return None
+        for j, v in row:
+            if j < i:
+                lower[i] = v
+            else:
+                upper[i] = v
+    return lower, upper
+
+
+@st.composite
+def banded_csr(draw):
+    """A square CSR matrix that stores most of its band and a few entries
+    outside it, with signed and stored zeros, zero or unstored diagonal
+    entries, and rows without off-diagonals; 1 x 1 included."""
+    n = draw(st.integers(1, 7))
+    offsets, cols, vals = [0], [], []
+    for i in range(n):
+        for j in range(n):
+            chance = 0.8 if abs(i - j) <= 1 else 0.15
+            if draw(st.floats(0.0, 1.0)) < chance:
+                cols.append(j)
+                vals.append(draw(signed_entries))
+        offsets.append(len(vals))
+    return SparseMatrix(n, n, tuple(offsets), tuple(cols), tuple(vals))
+
+
+def pair_bits(pairs):
+    return [(j, bits(v)) for j, v in pairs]
+
+
+class TestRowViews:
+    """The views a CSR matrix keeps, against the CSR tuples they come from."""
+
+    @given(banded_csr())
+    def test_every_view_matches_the_csr(self, a):
+        n = a.rows
+        csr_rows = [list(a.row_items(i)) for i in range(n)]
+        assert [pair_bits(r) for r in a.residual_rows] == [pair_bits(r) for r in csr_rows]
+
+        split, fresh = a.split, split_dlu(a)
+        assert a.split is split
+        assert vec_bits(split.diag) == vec_bits(fresh.diag)
+        for part, want in (
+            (split.strict_lower, fresh.strict_lower),
+            (split.strict_upper, fresh.strict_upper),
+        ):
+            assert (part.row_offsets, part.col_indices) == (want.row_offsets, want.col_indices)
+            assert vec_bits(part.values) == vec_bits(want.values)
+
+        kernel = [[(j, -v) for j, v in row if j != i] for i, row in enumerate(csr_rows)]
+        assert [pair_bits(r) for r in split.kernel_rows] == [pair_bits(r) for r in kernel]
+        assert split.kernel_rows is split.kernel_rows
+
+        lower, upper, exact = split.band
+        stored = [dict(row) for row in csr_rows]
+        for i in range(n):
+            below, above = stored[i].get(i - 1), stored[i].get(i + 1)
+            assert bits(lower[i]) == bits(0.0 if below is None else -below)
+            assert bits(upper[i]) == bits(0.0 if above is None else -above)
+        oracle = band_oracle(split.kernel_rows)
+        assert exact == (oracle is not None)
+        if oracle is not None:
+            assert (vec_bits(lower), vec_bits(upper)) == tuple(map(vec_bits, oracle))
+
+    def test_split_dlu_derives_a_new_split_on_every_call(self):
+        a = SparseMatrix.from_dense(DenseMatrix.from_rows(SEC21_ROWS))
+        assert split_dlu(a) is not a.split
+        assert split_dlu(a) == a.split
+
+
 class TestGram:
     def test_identity(self):
         assert gram(DenseMatrix.identity(3)).to_dense() == DenseMatrix.identity(3)

@@ -33,6 +33,7 @@ from ringsolve import (
     sor_sweep,
     spectral_radius,
     split_dlu,
+    structure_flags,
 )
 from ringsolve.convergence_analysis import _power_radius
 from ringsolve import stationary_solvers
@@ -42,9 +43,7 @@ from ringsolve.stationary_solvers import (
     _kernel_rows,
     _pipelined,
     _residual_norm,
-    _residual_rows,
     _sweep_fn,
-    _tridiagonal_band,
 )
 
 SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
@@ -298,6 +297,11 @@ class TestSweepOracle:
                 sweep(split, x, b)
         with pytest.raises(ZeroDiagonalError, match=message):
             sor_sweep(split, x, b, 1.5)
+        # The flags read the split that ``solve`` reuses, and only report it.
+        assert structure_flags(a)["has_zero_diagonal"]
+        for method in (Method.jacobi(), Method.sor(1.5)):
+            with pytest.raises(ZeroDiagonalError, match=message):
+                solve(a, b, SolverConfig(method=method))
 
     def test_weight_one_may_differ_from_gauss_seidel_in_the_sign_of_zero(self):
         # (1 - 1) * old is +0.0 for a positive old value, and +0.0 + -0.0 is
@@ -455,7 +459,7 @@ class TestResidual:
         acc = 0.0
         for v in r.entries:
             acc += v * v
-        got = _residual_norm(_residual_rows(a), x.entries, b.entries)
+        got = _residual_norm(a.residual_rows, x.entries, b.entries)
         assert bits(got) == bits(math.sqrt(acc))
 
     def test_zero_guess_gives_rhs(self):
@@ -670,7 +674,7 @@ rare_diagonal = st.sampled_from([1e200, -1e-200])
 
 @st.composite
 def tridiagonal_systems(draw):
-    """(d, rows, b, x0): a tridiagonal system storing its whole band.
+    """(d, rows, band, b, x0): a tridiagonal system storing its whole band.
 
     Off-diagonals are at most 0.6 of their row's diagonal, so sweeps stay
     finite, or in half the draws up to 1e3, 1e6 or 1e12 times it, so they
@@ -697,8 +701,9 @@ def tridiagonal_systems(draw):
         target = draw(st.sampled_from([diag, lower, upper, b, x0]))
         rare = rare_diagonal if target is diag else rare_entries
         target[draw(st.integers(0, n - 1))] = draw(rare)
-    d, rows = _kernel_rows(split_dlu(band_matrix(diag, lower, upper)))
-    return d, rows, b, x0
+    split = split_dlu(band_matrix(diag, lower, upper))
+    d, rows = _kernel_rows(split)
+    return d, rows, split.band, b, x0
 
 
 def hexes(xs):
@@ -763,14 +768,13 @@ class TestWavefront:
         st.one_of(st.integers(1, 8), st.integers(9, 70)),
     )
     def test_matches_one_sweep_at_a_time(self, system, method, last, stride):
-        d, rows, b, x0 = system
-        band = _tridiagonal_band(rows)
-        assert band is not None
+        d, rows, (lower, upper, exact), b, x0 = system
+        assert exact
         x1 = _sweep_fn(d, rows, method, Vector(tuple(b)))(x0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             want = outcome(one_sweep_at_a_time(d, rows, b, x1, last, method, stride))
-            got = outcome(_pipelined(d, *band, b, x1, last, method, stride))
+            got = outcome(_pipelined(d, lower, upper, b, x1, last, method, stride))
         assert got == want
 
     @pytest.mark.parametrize("method", [Method.jacobi(), Method.sor(1.5)])
@@ -786,21 +790,24 @@ class TestWavefront:
     )
     def test_divergence_check_exact_at_the_bound(self, method, b, raises):
         n = len(b)
-        d, rows = _kernel_rows(split_dlu(band_matrix([1.0] * n, [0.0] * n, [0.0] * n)))
+        split = split_dlu(band_matrix([1.0] * n, [0.0] * n, [0.0] * n))
+        d, rows = _kernel_rows(split)
         want = outcome(one_sweep_at_a_time(d, rows, b, b, 9, method, 4))
         assert isinstance(want[-1], str) == raises
-        assert outcome(_pipelined(d, *_tridiagonal_band(rows), b, b, 9, method, 4)) == want
+        lower, upper, _ = split.band
+        assert outcome(_pipelined(d, lower, upper, b, b, 9, method, 4)) == want
 
     def test_band_requires_both_neighbours_in_column_order(self):
         full = band_matrix([4.0] * 4, [-1.0] * 4, [-1.0] * 4)
-        assert _tridiagonal_band(_kernel_rows(split_dlu(full))[1]) == (
-            [0.0, 1.0, 1.0, 1.0],
-            [1.0, 1.0, 1.0, 0.0],
+        assert split_dlu(full).band == (
+            (0.0, 1.0, 1.0, 1.0),
+            (1.0, 1.0, 1.0, 0.0),
+            True,
         )
         gap = band_matrix([4.0] * 4, [-1.0, -1.0, None, -1.0], [-1.0] * 4)
         wide = band_matrix([4.0] * 4, [-1.0] * 4, [-1.0] * 4, extra=[(3, 0, 0.0)])
         for a in (gap, wide):
-            assert _tridiagonal_band(_kernel_rows(split_dlu(a))[1]) is None
+            assert not split_dlu(a).band[-1]
 
     @pytest.mark.parametrize("exits", [16, 129, 200, 300])
     @pytest.mark.parametrize("stride", [1, 64])
@@ -867,7 +874,7 @@ class TestWavefront:
         profile = fake_profile(rho_j=0.6, rho_g=0.4, rho_s=0.4, sor_omega=method.omega)
         config = SolverConfig(method=method, eta=1e-12, max_iterations=300, history_stride=7)
         for a in (gap, wide):
-            assert _tridiagonal_band(_kernel_rows(split_dlu(a))[1]) is None
+            assert not split_dlu(a).band[-1]
             got = both_paths(monkeypatch, a, Vector(tuple(b)), config, profile)
             assert got[0] == got[1]
 
@@ -876,12 +883,13 @@ class TestWavefront:
         # sweep holds about n^2 / 2 floats (4.2 MB at 1023 unknowns), not
         # the whole stretch: here 400 iterates would take 816 kB.
         n, last = 255, 400
-        d, rows = _kernel_rows(split_dlu(tridiag(n)))
-        band = _tridiagonal_band(rows)
+        split = split_dlu(tridiag(n))
+        d, _ = _kernel_rows(split)
+        lower, upper, _ = split.band
         x1 = [1.0] * n
         tracemalloc.start()
         try:
-            for _ in _pipelined(d, *band, [0.0] * n, x1, last, Method.gauss_seidel(), 1):
+            for _ in _pipelined(d, lower, upper, [0.0] * n, x1, last, Method.gauss_seidel(), 1):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -34,7 +34,7 @@ from ringsolve import (
     solve_direct,
     solve_traffic,
 )
-from ringsolve import matrix_core, stationary_solvers, traffic_network
+from ringsolve import matrix_core, stationary_solvers
 
 FIG1_EXTERNALS = (100.0, -50.0, 120.0, -150.0, 80.0, -100.0)
 FIG1_FLOWS = (150.0, 50.0, 100.0, -20.0, 130.0, 50.0)
@@ -445,15 +445,15 @@ class TestSolveTraffic:
 
         def counting_split(a):
             splits.append(a)
-            return matrix_core.split_dlu(a)
+            return split_dlu(a)
 
         def counting_sweep(*args):
             sweeps.append(args)
             return kernel(*args)
 
         kernel = stationary_solvers._sweep
-        monkeypatch.setattr(stationary_solvers, "split_dlu", counting_split)
-        monkeypatch.setattr(traffic_network, "split_dlu", counting_split)
+        split_dlu = matrix_core.split_dlu
+        monkeypatch.setattr(matrix_core, "split_dlu", counting_split)
         monkeypatch.setattr(stationary_solvers, "_sweep", counting_sweep)
         _, report, _ = solve_traffic(network, SolverConfig(eta=1e-6))
         assert report.converged and len(report.predicted_counts) == 3
@@ -478,6 +478,20 @@ class TestSolveTraffic:
         _, report, _ = solve_traffic(network, SolverConfig(eta=eta))
         assert report.predicted_counts == counts
         assert report.predicted_iterations == counts["sor"]
+
+    def test_disjoint_cycles_are_rejected(self, fixtures_dir):
+        network = parse_network((fixtures_dir / "two_rings.network").read_text())
+        assert not network.is_ring()
+        with pytest.raises(ReductionError, match="^network is not one ring: "):
+            solve_traffic(network, SolverConfig())
+
+    def test_reduction_errors_come_before_the_ring_check(self):
+        nodes = (Node("A", 1.0), Node("B", 0.0), Node("C", -1.0))
+        fan = (Branch(0, "A", "B"), Branch(1, "A", "C"), Branch(2, "B", "C"))
+        with pytest.raises(ReductionError, match="not circulant-balanced"):
+            solve_traffic(FlowNetwork(nodes, fan), SolverConfig())
+        with pytest.raises(ValueError, match="expected square"):
+            solve_traffic(FlowNetwork(nodes, fan[:2]), SolverConfig())
 
     def test_unbalanced_externals_warn_and_fit_least_squares(self):
         network = ring_network([10.0, 0.0, 0.0])
