@@ -29,18 +29,13 @@ from .errors import (
     ZeroDiagonalError,
 )
 from .matrix_core import (
-    DenseMatrix,
-    Matrix,
     SparseMatrix,
     TriangularSplit,
     Vector,
-    back_substitute,
-    eliminate,
     gram,
     inf_norm,
     matvec,
     norm2,
-    solve_direct,
     split_dlu,
     transpose_matvec,
 )
@@ -99,17 +94,12 @@ __all__ = [
     "ParseError",
     # matrix core
     "Vector",
-    "DenseMatrix",
     "SparseMatrix",
-    "Matrix",
     "TriangularSplit",
     "matvec",
     "transpose_matvec",
     "split_dlu",
     "gram",
-    "eliminate",
-    "back_substitute",
-    "solve_direct",
     "norm2",
     "inf_norm",
     # stationary solvers

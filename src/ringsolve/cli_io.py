@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .convergence_analysis import _FALLBACK_OMEGA, classify, select_method
 from .errors import NumericalError, ParseError
-from .matrix_core import DenseMatrix, Matrix, SparseMatrix, Vector, _csr
+from .matrix_core import SparseMatrix, Vector
 from .stationary_solvers import Method, SolverConfig, solve
 from .traffic_network import (
     Branch,
@@ -88,8 +88,12 @@ def _float_token(line_no: int, token: str) -> float:
     return value
 
 
-def parse_matrix(text: str) -> Matrix:
-    """Read a 'dense R C' or 'sparse R C NNZ' matrix file."""
+def parse_matrix(text: str) -> SparseMatrix:
+    """Read a 'dense R C' or 'sparse R C NNZ' matrix file into CSR.
+
+    A dense file stores every entry that is not exactly +0.0, as
+    ``SparseMatrix.from_rows`` does.
+    """
     records = list(_records(text))
     if not records:
         raise ParseError(_eof_line(text), "expected a matrix header")
@@ -110,14 +114,13 @@ def parse_matrix(text: str) -> Matrix:
             )
         if len(data) > rows_n:
             raise ParseError(data[rows_n][0], "unexpected extra data line")
-        entries: list[float] = []
+        rows: list[list[float]] = []
         for line_no, line in data:
             parts = line.split()
             if len(parts) != cols_n:
                 raise ParseError(line_no, f"expected {cols_n} values, found {len(parts)}")
-            for part in parts:
-                entries.append(_float_token(line_no, part))
-        return DenseMatrix(rows_n, cols_n, tuple(entries))
+            rows.append([_float_token(line_no, part) for part in parts])
+        return SparseMatrix.from_rows(rows)
     if kind == "sparse":
         if len(tokens) != 4:
             raise ParseError(header_no, f"expected 'sparse R C NNZ', got {header!r}")
@@ -163,16 +166,12 @@ def parse_matrix(text: str) -> Matrix:
     raise ParseError(header_no, f"expected 'dense' or 'sparse' header, got {kind!r}")
 
 
-def write_matrix(matrix: Matrix) -> str:
-    if isinstance(matrix, DenseMatrix):
-        lines = [f"dense {matrix.rows} {matrix.cols}"]
-        for i in range(matrix.rows):
-            lines.append(" ".join(_fmt(v) for v in matrix.row(i)))
-    else:
-        lines = [f"sparse {matrix.rows} {matrix.cols} {len(matrix.values)}"]
-        for i in range(matrix.rows):
-            for j, v in matrix.row_items(i):
-                lines.append(f"{i} {j} {_fmt(v)}")
+def write_matrix(matrix: SparseMatrix) -> str:
+    """The 'sparse R C NNZ' file of a matrix, one line per stored entry."""
+    lines = [f"sparse {matrix.rows} {matrix.cols} {len(matrix.values)}"]
+    for i in range(matrix.rows):
+        for j, v in matrix.row_items(i):
+            lines.append(f"{i} {j} {_fmt(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -411,8 +410,8 @@ def _exit_status(report, config: SolverConfig) -> int:
 
 def _cmd_solve(args) -> int:
     _check_omega_flag(args)
-    # One CSR form serves classify and solve, so its row views are derived once.
-    a = _csr(parse_matrix(Path(args.matrix).read_text()))
+    # One CSR matrix serves classify and solve, so its row views are derived once.
+    a = parse_matrix(Path(args.matrix).read_text())
     b = parse_vector(Path(args.rhs).read_text())
     x0 = parse_vector(Path(args.x0).read_text()) if args.x0 else None
     if a.rows != a.cols:

@@ -10,8 +10,8 @@ optimal SOR weight has radius omega* - 1.
 Every other radius is estimated by power iteration: repeated application
 of T to a fixed seed vector with renormalization after every step.  T is
 built as a dense numpy array by forward substitution on whole rows and
-handed to the power loop directly; it is the matrix ``iteration_matrix``
-returns, bit for bit.  At the sizes this library targets (a few hundred
+handed to the power loop directly; ``iteration_matrix`` returns the same
+T in CSR form, bit for bit.  At the sizes this library targets (a few hundred
 unknowns) one dense product costs far less than applying T as a sweep in
 Python, and the loop needs hundreds to thousands of products.  The
 growth factors are averaged geometrically over a trailing window of 32
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergentMethodError
-from .matrix_core import DenseMatrix, Matrix, TriangularSplit, _csr, _require_square
+from .matrix_core import SparseMatrix, TriangularSplit, _require_square
 # ``iteration_matrix`` is unused here but stays importable from this module,
 # where perfbench's tracer looks it up.
 from .stationary_solvers import Method, _iteration_array, iteration_matrix  # noqa: F401
@@ -118,7 +118,7 @@ class MatrixProfile:
 
 
 def spectral_radius(
-    t: Matrix, tol: float = 1e-6, max_steps: int = _MAX_POWER_STEPS
+    t: SparseMatrix, tol: float = 1e-6, max_steps: int = _MAX_POWER_STEPS
 ) -> SpectralEstimate:
     """Estimate the spectral radius of a square matrix by power iteration.
 
@@ -137,8 +137,10 @@ def spectral_radius(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    dense = t if isinstance(t, DenseMatrix) else t.to_dense()
-    return _power_radius(np.array(dense.entries, dtype=np.float64).reshape(n, n), tol, max_steps)
+    mat = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), np.diff(t.row_offsets))
+    mat[rows, np.array(t.col_indices, dtype=np.intp)] = t.values
+    return _power_radius(mat, tol, max_steps)
 
 
 def _power_radius(mat: np.ndarray, tol: float, max_steps: int) -> SpectralEstimate:
@@ -233,7 +235,7 @@ def estimate_iterations(eta: float, rho: float, norm_a: float, first_step: float
     return max(1, math.ceil(math.log(arg) / math.log(rho)))
 
 
-def structure_flags(a: Matrix) -> dict[str, bool]:
+def structure_flags(a: SparseMatrix) -> dict[str, bool]:
     """The six structure flags of a profile, by definitional checks.
 
     Runs in O(nnz) on the split's kernel rows.  Symmetry matches each row's
@@ -247,7 +249,7 @@ def structure_flags(a: Matrix) -> dict[str, bool]:
     input, O(n bw^2) on a band of width bw, and no matrix is made dense.
     """
     n = _require_square(a)
-    split = _csr(a).split
+    split = a.split
     diag = split.diag.entries
     # above[i] collects the nonzero (j, -A_ji) with j < i, by ascending j.
     above: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -389,7 +391,7 @@ def _best_method(rho_j, rho_g, rho_s, sor_omega):
     return None
 
 
-def classify(a: Matrix) -> MatrixProfile:
+def classify(a: SparseMatrix) -> MatrixProfile:
     """Structure flags plus spectral radii for all three methods.
 
     For a symmetric tridiagonal matrix with a positive diagonal the radii
@@ -401,14 +403,13 @@ def classify(a: Matrix) -> MatrixProfile:
 
     Every other radius is measured by power iteration on the dense
     iteration matrix, built as a numpy array (the T of
-    ``iteration_matrix``, without its ``DenseMatrix`` wrapper), SOR at the
+    ``iteration_matrix``, without its CSR wrapper), SOR at the
     fixed fallback weight 1.5 with ``omega_star`` left unset.  A
     non-finite entry of T raises ``ValueError``.  Those estimates use a
     tolerance of 1e-10, far below the public default, and
     ``radii_converged`` records whether they all settled.  A zero diagonal leaves every radius unset and
     recommends nothing.
     """
-    a = _csr(a)
     flags = structure_flags(a)
     if flags["has_zero_diagonal"]:
         return MatrixProfile(

@@ -1,10 +1,9 @@
 """Matrix building blocks on one storage path: compressed sparse rows.
 
-``DenseMatrix`` is the row-major form that files, direct elimination and
-iteration matrices use.  Every other routine here computes on
-``SparseMatrix`` (CSR): a dense argument is converted once on entry with
-``SparseMatrix.from_dense``, which stores every entry that is not exactly
-+0.0.  Banded systems therefore never become n x n objects.
+``SparseMatrix`` (CSR) is the only matrix type.  Row-major input, such as
+a dense matrix file, becomes CSR through ``SparseMatrix.from_rows``, which
+stores every entry that is not exactly +0.0.  Banded systems therefore
+never become n x n objects.
 
 All arithmetic is 64-bit floating point.  Every row sum and inner product
 accumulates strictly left to right (ascending index), starting from +0.0.
@@ -25,20 +24,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SingularMatrixError
-
 __all__ = [
     "Vector",
-    "DenseMatrix",
     "SparseMatrix",
     "TriangularSplit",
     "matvec",
     "transpose_matvec",
     "split_dlu",
     "gram",
-    "eliminate",
-    "back_substitute",
-    "solve_direct",
     "norm2",
     "inf_norm",
 ]
@@ -73,51 +66,6 @@ class Vector:
 
     def __iter__(self):
         return iter(self.entries)
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """A rows x cols matrix with finite entries in row-major order."""
-
-    rows: int
-    cols: int
-    entries: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(float(v) for v in self.entries))
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"negative shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-        for i, v in enumerate(self.entries):
-            if not math.isfinite(v):
-                raise ValueError(f"matrix entry {i} is not finite: {v!r}")
-
-    @classmethod
-    def from_rows(cls, rows) -> "DenseMatrix":
-        rows = [list(r) for r in rows]
-        n_cols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != n_cols:
-                raise ValueError("ragged rows")
-        flat = tuple(v for r in rows for v in r)
-        return cls(len(rows), n_cols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(n, n, tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> float:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[float, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[float]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 @dataclass(frozen=True)
@@ -165,32 +113,29 @@ class SparseMatrix:
                 raise ValueError(f"sparse value is not finite: {v!r}")
 
     @classmethod
-    def from_dense(cls, a: DenseMatrix) -> "SparseMatrix":
-        """Store every entry of ``a`` that is not exactly +0.0."""
+    def from_rows(cls, rows) -> "SparseMatrix":
+        """The CSR form of equal-length rows, storing every entry that is
+        not exactly +0.0 (-0.0 is kept)."""
+        rows = [[float(v) for v in r] for r in rows]
+        n_cols = len(rows[0]) if rows else 0
         offsets = [0]
         cols: list[int] = []
         vals: list[float] = []
-        for i in range(a.rows):
-            for j in range(a.cols):
-                v = a.entry(i, j)
+        for r in rows:
+            if len(r) != n_cols:
+                raise ValueError("ragged rows")
+            for j, v in enumerate(r):
                 if not _is_positive_zero(v):
                     cols.append(j)
                     vals.append(v)
             offsets.append(len(vals))
-        return cls(a.rows, a.cols, tuple(offsets), tuple(cols), tuple(vals))
+        return cls(len(rows), n_cols, tuple(offsets), tuple(cols), tuple(vals))
 
     def row_items(self, i: int):
         """Stored (column, value) pairs of row i, columns ascending."""
         lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
         for p in range(lo, hi):
             yield self.col_indices[p], self.values[p]
-
-    def to_dense(self) -> DenseMatrix:
-        flat = [0.0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j, v in self.row_items(i):
-                flat[i * self.cols + j] = v
-        return DenseMatrix(self.rows, self.cols, tuple(flat))
 
     @cached_property
     def split(self) -> "TriangularSplit":
@@ -259,31 +204,11 @@ class TriangularSplit:
             exact = exact and [j for j, _ in row] == [j for j in (i - 1, i + 1) if 0 <= j < n]
         return tuple(lower), tuple(upper), exact
 
-    def recompose(self) -> DenseMatrix:
-        """Rebuild A = D - L - U using only unary negation of stored entries."""
-        n = len(self.diag)
-        flat = [0.0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = self.diag[i]
-            for j, v in self.strict_lower.row_items(i):
-                flat[i * n + j] = -v
-            for j, v in self.strict_upper.row_items(i):
-                flat[i * n + j] = -v
-        return DenseMatrix(n, n, tuple(flat))
 
-
-Matrix = DenseMatrix | SparseMatrix
-
-
-def _require_square(a: Matrix) -> int:
+def _require_square(a: SparseMatrix) -> int:
     if a.rows != a.cols:
         raise ValueError(f"matrix is {a.rows}x{a.cols}, expected square")
     return a.rows
-
-
-def _csr(a: Matrix) -> SparseMatrix:
-    """``a`` itself when it is CSR, else its CSR form."""
-    return a if isinstance(a, SparseMatrix) else SparseMatrix.from_dense(a)
 
 
 def _matvec_list(a: SparseMatrix, x) -> list[float]:
@@ -298,18 +223,17 @@ def _matvec_list(a: SparseMatrix, x) -> list[float]:
     return out
 
 
-def matvec(a: Matrix, x: Vector) -> Vector:
+def matvec(a: SparseMatrix, x: Vector) -> Vector:
     """The product A x."""
     if a.cols != len(x):
         raise ValueError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
-    return Vector(tuple(_matvec_list(_csr(a), x.entries)))
+    return Vector(tuple(_matvec_list(a, x.entries)))
 
 
-def transpose_matvec(a: Matrix, v: Vector) -> Vector:
+def transpose_matvec(a: SparseMatrix, v: Vector) -> Vector:
     """The product A^T v, accumulated in ascending row order."""
     if a.rows != len(v):
         raise ValueError(f"matrix has {a.rows} rows but vector has {len(v)} entries")
-    a = _csr(a)
     offsets, cols, vals = a.row_offsets, a.col_indices, a.values
     out = [0.0] * a.cols
     for i in range(a.rows):
@@ -319,7 +243,7 @@ def transpose_matvec(a: Matrix, v: Vector) -> Vector:
     return Vector(tuple(out))
 
 
-def split_dlu(a: Matrix) -> TriangularSplit:
+def split_dlu(a: SparseMatrix) -> TriangularSplit:
     """Split a square matrix into A = D - L - U.
 
     Zero diagonal entries are permitted here; solvers reject them later.
@@ -328,7 +252,6 @@ def split_dlu(a: Matrix) -> TriangularSplit:
     ``SparseMatrix.split`` derives one per matrix and keeps it.
     """
     n = _require_square(a)
-    a = _csr(a)
     offsets, cols, vals = a.row_offsets, a.col_indices, a.values
     diag = [0.0] * n
     lo_off, lo_cols, lo_vals = [0], [], []
@@ -351,7 +274,7 @@ def split_dlu(a: Matrix) -> TriangularSplit:
     return TriangularSplit(Vector(tuple(diag)), lower, upper)
 
 
-def gram(a: Matrix) -> SparseMatrix:
+def gram(a: SparseMatrix) -> SparseMatrix:
     """The normal matrix A^T A in CSR form.
 
     Entry (k, l) with k <= l is the sum of A[i][k] * A[i][l] over the rows
@@ -359,11 +282,10 @@ def gram(a: Matrix) -> SparseMatrix:
     loop's sum without its products with unstored zeros, so the same
     value bit for bit.  The lower triangle mirrors the upper, so the
     result is exactly symmetric.  Entries that sum to exactly +0.0 are not
-    stored, as in ``SparseMatrix.from_dense``.  Requires rows >= cols.
+    stored, as in ``SparseMatrix.from_rows``.  Requires rows >= cols.
     """
     if a.rows < a.cols:
         raise ValueError(f"matrix is {a.rows}x{a.cols}; gram needs rows >= cols")
-    a = _csr(a)
     n = a.cols
     offsets, cols, vals = a.row_offsets, a.col_indices, a.values
     upper: list[dict[int, float]] = [{} for _ in range(n)]
@@ -397,70 +319,6 @@ def gram(a: Matrix) -> SparseMatrix:
     return SparseMatrix(n, n, tuple(out_off), tuple(out_cols), tuple(out_vals))
 
 
-_PIVOT_RTOL = 1e-12
-
-
-def eliminate(a: DenseMatrix, b: Vector, pivot: bool = True) -> tuple[DenseMatrix, Vector]:
-    """Forward Gaussian elimination to an upper-triangular system.
-
-    With ``pivot=True`` rows are swapped for the largest pivot in the current
-    column.  ``pivot=False`` keeps the textbook row order for comparison with
-    hand elimination.  Raises ``SingularMatrixError`` when the pivot magnitude
-    falls below 1e-12 times the largest magnitude left in the submatrix.
-    """
-    n = _require_square(a)
-    if len(b) != n:
-        raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
-    u = [list(a.row(i)) for i in range(n)]
-    y = list(b.entries)
-    for k in range(n):
-        scale = 0.0
-        for i in range(k, n):
-            for j in range(k, n):
-                scale = max(scale, abs(u[i][j]))
-        if pivot:
-            r = max(range(k, n), key=lambda i: abs(u[i][k]))
-            if r != k:
-                u[k], u[r] = u[r], u[k]
-                y[k], y[r] = y[r], y[k]
-        if scale == 0.0 or abs(u[k][k]) < _PIVOT_RTOL * scale:
-            raise SingularMatrixError(f"numerically singular at elimination step {k}")
-        for i in range(k + 1, n):
-            m = u[i][k] / u[k][k]
-            u[i][k] = 0.0
-            if m != 0.0:
-                for j in range(k + 1, n):
-                    u[i][j] -= m * u[k][j]
-                y[i] -= m * y[k]
-    flat = tuple(v for row in u for v in row)
-    return DenseMatrix(n, n, flat), Vector(tuple(y))
-
-
-def back_substitute(u: DenseMatrix, y: Vector) -> Vector:
-    """Solve an upper-triangular system by back substitution."""
-    n = _require_square(u)
-    if len(y) != n:
-        raise ValueError(f"matrix has {n} rows but vector has {len(y)} entries")
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        if u.entry(i, i) == 0.0:
-            raise SingularMatrixError(f"zero pivot at row {i} in back substitution")
-        acc = y[i]
-        for j in range(i + 1, n):
-            acc -= u.entry(i, j) * x[j]
-        x[i] = acc / u.entry(i, i)
-    return Vector(tuple(x))
-
-
-def solve_direct(a: DenseMatrix, b: Vector) -> Vector:
-    """Gaussian elimination with partial pivoting plus back substitution.
-
-    Serves as the oracle against which iterative results are judged.
-    """
-    u, y = eliminate(a, b, pivot=True)
-    return back_substitute(u, y)
-
-
 def norm2(v: Vector | list[float] | tuple[float, ...]) -> float:
     """Euclidean norm."""
     entries = v.entries if isinstance(v, Vector) else v
@@ -470,9 +328,8 @@ def norm2(v: Vector | list[float] | tuple[float, ...]) -> float:
     return math.sqrt(acc)
 
 
-def inf_norm(a: Matrix) -> float:
+def inf_norm(a: SparseMatrix) -> float:
     """Maximum absolute row sum."""
-    a = _csr(a)
     offsets, vals = a.row_offsets, a.values
     best = 0.0
     for i in range(a.rows):

@@ -44,11 +44,9 @@ import numpy as np
 
 from .errors import DivergenceError, ZeroDiagonalError
 from .matrix_core import (
-    DenseMatrix,
-    Matrix,
+    SparseMatrix,
     TriangularSplit,
     Vector,
-    _csr,
     _require_square,
     inf_norm,
     matvec,
@@ -162,7 +160,7 @@ class SolveReport:
 class IterationMatrix:
     """The fixed-point form x_new = T x_old + c of a stationary method."""
 
-    T: DenseMatrix
+    T: SparseMatrix
     c: Vector
     method: Method
 
@@ -246,8 +244,7 @@ def _iteration_array(split: TriangularSplit, method: Method) -> np.ndarray:
     L_ij T_j for Gauss-Seidel) over the stored lower entries in column
     order, and is divided by D_ii.  Each entry sees the same IEEE
     operations as a scalar substitution column by column.  A non-finite
-    entry raises ``ValueError`` naming its row-major index, as
-    ``DenseMatrix`` does.
+    entry raises ``ValueError`` naming its row-major index.
     """
     d, rows = _kernel_rows(split)
     n = len(d)
@@ -278,19 +275,22 @@ def _iteration_array(split: TriangularSplit, method: Method) -> np.ndarray:
     return t
 
 
-def iteration_matrix(a: Matrix, method: Method, b: Vector | None = None) -> IterationMatrix:
-    """The dense fixed-point matrix T and offset c for a method.
+def iteration_matrix(
+    a: SparseMatrix, method: Method, b: Vector | None = None
+) -> IterationMatrix:
+    """The fixed-point matrix T and offset c for a method.
 
     T_jacobi = D^-1 (L + U); T_gs = (D - L)^-1 U; and for SOR
     T_omega = (D - omega L)^-1 ((1 - omega) D + omega U).  Triangular
     inverses are applied by forward substitution; no general matrix is
-    ever inverted.  T is the array ``classify`` measures, wrapped as a
-    ``DenseMatrix``.  With ``b`` omitted, c is the zero vector.
+    ever inverted.  T is the array ``classify`` measures in CSR form: every
+    entry that is not exactly +0.0 is stored, so its dense view is that
+    array bit for bit.  With ``b`` omitted, c is the zero vector.
     """
     n = _require_square(a)
     if b is not None and len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
-    split = _csr(a).split
+    split = a.split
     t = _iteration_array(split, method)
     d = split.diag.entries
     c = [0.0] * n
@@ -304,10 +304,10 @@ def iteration_matrix(a: Matrix, method: Method, b: Vector | None = None) -> Iter
             for j, v in split.strict_lower.row_items(i):
                 acc += omega * v * c[j] if sor else v * c[j]
             c[i] = acc / d[i]
-    return IterationMatrix(DenseMatrix(n, n, tuple(t.ravel().tolist())), Vector(tuple(c)), method)
+    return IterationMatrix(SparseMatrix.from_rows(t.tolist()), Vector(tuple(c)), method)
 
 
-def residual(a: Matrix, x: Vector, b: Vector) -> Vector:
+def residual(a: SparseMatrix, x: Vector, b: Vector) -> Vector:
     """The residual b - A x."""
     if a.rows != len(b):
         raise ValueError(f"matrix has {a.rows} rows but b has {len(b)} entries")
@@ -497,7 +497,7 @@ def _profile_rho(profile, method: Method) -> float | None:
     return None
 
 
-def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveReport:
+def solve(a: SparseMatrix, b: Vector, config: SolverConfig, profile=None) -> SolveReport:
     """Run a stationary method until the residual norm drops below eta.
 
     When ``profile`` provides a spectral radius below 1 for the configured
@@ -519,7 +519,6 @@ def solve(a: Matrix, b: Vector, config: SolverConfig, profile=None) -> SolveRepo
     n = _require_square(a)
     if len(b) != n:
         raise ValueError(f"matrix has {n} rows but vector has {len(b)} entries")
-    a = _csr(a)
     split = a.split
     d, rows = _kernel_rows(split)
     step = _sweep_fn(d, rows, method, b)

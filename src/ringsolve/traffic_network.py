@@ -20,10 +20,8 @@ from dataclasses import dataclass, replace
 from .convergence_analysis import MatrixProfile, classify, select_method
 from .errors import ReductionError
 from .matrix_core import (
-    Matrix,
     SparseMatrix,
     Vector,
-    _csr,
     _matvec_list,
     _require_square,
     gram,
@@ -267,25 +265,55 @@ def generate_ring(spec: RingSpec) -> FlowNetwork:
     return FlowNetwork(nodes, branches)
 
 
-def reduce(a: Matrix, b: Vector) -> ReducedSystem:
+def _components(a: SparseMatrix) -> int:
+    """The number of classes of rows linked by sharing a column in which
+    both store a nonzero entry: one union-find pass, O(rows + nnz)."""
+    parent = list(range(a.rows))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = [-1] * a.cols
+    count = a.rows
+    for i in range(a.rows):
+        for j, v in a.row_items(i):
+            if v == 0.0:
+                continue
+            if first[j] < 0:
+                first[j] = i
+                continue
+            ri, rj = root(i), root(first[j])
+            if ri != rj:
+                parent[ri] = rj
+                count -= 1
+    return count
+
+
+def reduce(a: SparseMatrix, b: Vector) -> ReducedSystem:
     """Drop the last column of a singular balanced system and form normals.
 
-    Requires A times the all-ones vector to vanish (within 1e-9); a network
-    of c > 1 disjoint cycles passes too, with a singular normal matrix, and
-    ``solve_traffic`` rejects it.  The returned normal equations are square
-    and CSR, built by ``gram`` without a dense intermediate; for ring inputs
-    the normal matrix is the SPD tridiagonal matrix with 2 on the diagonal
-    and -1 off it.
+    Requires A times the all-ones vector to vanish (within 1e-9) and the
+    rows to form one connected class, linked by shared nonzero columns.
+    For the square conservation matrix of a network, balance gives every
+    node one branch in and one out, so connected means one ring; several
+    disjoint cycles raise ``ReductionError``, as their normal matrix is
+    singular.  The returned normal equations are square and CSR, built by
+    ``gram`` without a dense intermediate; for ring inputs the normal matrix
+    is the SPD tridiagonal matrix with 2 on the diagonal and -1 off it.
     """
     m = _require_square(a)
     if len(b) != m:
         raise ValueError(f"matrix has {m} rows but b has {len(b)} entries")
     if m < 2:
         raise ValueError("cannot reduce a 1x1 system")
-    a = _csr(a)
     drift = _matvec_list(a, [1.0] * m)
     if max(abs(v) for v in drift) > _BALANCE_TOL:
         raise ReductionError("matrix is not circulant-balanced; reduction inapplicable")
+    if _components(a) > 1:
+        raise ReductionError("network is not one ring: its branches form several disjoint cycles")
     offsets = [0]
     col_indices: list[int] = []
     values: list[float] = []
@@ -377,14 +405,9 @@ def solve_traffic(
     computes them from the split the normal matrix keeps.  The returned
     flows report the least-squares residual of the full (unreduced) system
     and flag unbalanced externals.
-
-    A network that is not one ring raises ``ReductionError``: once
-    ``reduce`` accepts it, it can only be several disjoint cycles.
     """
     a, b = assemble(network)
     red = reduce(a, b)
-    if not network.is_ring():
-        raise ReductionError("network is not one ring: its branches form several disjoint cycles")
     profile = classify(red.normal_matrix)
     method = config.method if config.method is not None else select_method(profile)[0]
     report = solve(red.normal_matrix, red.normal_rhs, replace(config, method=method), profile)

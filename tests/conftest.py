@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ringsolve import DenseMatrix, RingSpec, Vector, assemble, generate_ring
+from ringsolve import RingSpec, SparseMatrix, Vector, assemble, generate_ring
 
 settings.register_profile(
     "ci",
@@ -25,7 +25,32 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
-def tridiag(n: int) -> DenseMatrix:
+def from_flat(rows: int, cols: int, values) -> SparseMatrix:
+    """The rows x cols matrix of ``values`` in row-major order."""
+    values = list(values)
+    assert len(values) == rows * cols
+    return SparseMatrix.from_rows([values[i * cols : (i + 1) * cols] for i in range(rows)])
+
+
+def identity(n: int) -> SparseMatrix:
+    return SparseMatrix.from_rows([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
+
+
+def to_rows(a: SparseMatrix) -> list[list[float]]:
+    """The dense rows of ``a``, +0.0 where nothing is stored."""
+    rows = [[0.0] * a.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j, v in a.row_items(i):
+            rows[i][j] = v
+    return rows
+
+
+def dense_entries(a: SparseMatrix) -> list[float]:
+    """The entries of ``to_rows(a)`` in row-major order."""
+    return [v for row in to_rows(a) for v in row]
+
+
+def tridiag(n: int) -> SparseMatrix:
     """The n x n matrix with 2 on the diagonal and -1 on both off-diagonals."""
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -34,7 +59,7 @@ def tridiag(n: int) -> DenseMatrix:
             rows[i][i - 1] = -1.0
         if i < n - 1:
             rows[i][i + 1] = -1.0
-    return DenseMatrix.from_rows(rows)
+    return SparseMatrix.from_rows(rows)
 
 
 def ring_system(externals):

@@ -12,17 +12,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, ring_matrix, ring_system, tridiag, vec_bits
+from conftest import FIXTURES, dense_entries, from_flat, ring_matrix, ring_system, to_rows
+from conftest import tridiag, vec_bits
+from oracles import eliminate, solve_direct
 from ringsolve import (
-    DenseMatrix,
     DivergenceError,
     Method,
     NoConvergentMethodError,
     SolverConfig,
+    SparseMatrix,
     Vector,
     assemble,
     classify,
-    eliminate,
     gauss_seidel_sweep,
     generate_ring,
     inf_norm,
@@ -36,14 +37,13 @@ from ringsolve import (
     reduce,
     select_method,
     solve,
-    solve_direct,
     solve_traffic,
     sor_sweep,
     spectral_radius,
     split_dlu,
 )
 
-SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
+SEC21 = SparseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 SEC21_B = Vector((-1.0, 2.0, 3.0))
 
 
@@ -134,10 +134,9 @@ def test_criterion_3_iteration_count_ratios():
 
 
 def test_criterion_4_worked_elimination_and_methods():
-    upper, rhs = eliminate(SEC21, SEC21_B, pivot=False)
+    scaled_rows, rhs = eliminate(SEC21, SEC21_B, pivot=False)
     # The reference triangle carries rows 1 and 2 multiplied by the pivot 5
     # (fraction-free elimination); scale ours to match before comparing.
-    scaled_rows = upper.to_rows()
     scaled_rhs = list(rhs.entries)
     for i in (1, 2):
         scaled_rows[i] = [5.0 * v for v in scaled_rows[i]]
@@ -170,7 +169,7 @@ def test_criterion_4_worked_elimination_and_methods():
 def test_criterion_5_six_junction_network():
     network = parse_network((FIXTURES / "fig1.network").read_text())
     a, b = assemble(network)
-    assert a.to_dense().to_rows() == [
+    assert to_rows(a) == [
         [1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, -1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
@@ -200,7 +199,7 @@ def dominant_matrix(draw_rows, bump):
         off = sum(abs(v) for j, v in enumerate(rows[i]) if j != i)
         sign = -1.0 if rows[i][i] < 0.0 else 1.0
         rows[i][i] = sign * (off + 1.0 + bump)
-    return DenseMatrix.from_rows(rows)
+    return SparseMatrix.from_rows(rows)
 
 
 @given(
@@ -210,7 +209,7 @@ def dominant_matrix(draw_rows, bump):
 )
 def test_criterion_6a_splitting_round_trip(cells):
     n = int(math.isqrt(len(cells)))
-    a = DenseMatrix(n, n, tuple(cells))
+    a = from_flat(n, n, cells)
     split = split_dlu(a)
     rebuilt = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -221,7 +220,7 @@ def test_criterion_6a_splitting_round_trip(cells):
         for j, v in split.strict_upper.row_items(i):
             rebuilt[i][j] = -v
     flat = [v for row in rebuilt for v in row]
-    assert vec_bits(flat) == vec_bits(a.entries)
+    assert vec_bits(flat) == vec_bits(cells)
 
 
 @given(
@@ -238,7 +237,6 @@ def test_criterion_6a_splitting_round_trip(cells):
 def test_criterion_6b_sweep_matches_iteration_matrix(data, omega, bump):
     rows, x_list, b_list = data
     a = dominant_matrix(rows, bump)
-    n = a.rows
     x = Vector(tuple(x_list))
     b = Vector(tuple(b_list))
     split = split_dlu(a)
@@ -248,9 +246,7 @@ def test_criterion_6b_sweep_matches_iteration_matrix(data, omega, bump):
         (Method.sor(omega), lambda: sor_sweep(split, x, b, omega)),
     ):
         im = iteration_matrix(a, method, b)
-        mapped = [
-            sum(im.T.entry(i, j) * x[j] for j in range(n)) + im.c[i] for i in range(n)
-        ]
+        mapped = [t + c for t, c in zip(matvec(im.T, x).entries, im.c.entries)]
         swept = sweep()
         assert max(abs(u - v) for u, v in zip(mapped, swept.entries)) <= 1e-11
 
@@ -308,14 +304,14 @@ def test_criterion_6e_row_sign_invariant_reduction(data):
     externals, flips = data
     a, b = ring_system(externals)
     red = reduce(a, b)
-    rows = a.to_dense().to_rows()
+    rows = to_rows(a)
     flipped_rows = [
         [-v for v in row] if flip else row for row, flip in zip(rows, flips)
     ]
     flipped_b = tuple(-v if flip else v for v, flip in zip(b.entries, flips))
-    red_flipped = reduce(DenseMatrix.from_rows(flipped_rows), Vector(flipped_b))
-    assert vec_bits(red_flipped.normal_matrix.to_dense().entries) == vec_bits(
-        red.normal_matrix.to_dense().entries
+    red_flipped = reduce(SparseMatrix.from_rows(flipped_rows), Vector(flipped_b))
+    assert vec_bits(dense_entries(red_flipped.normal_matrix)) == vec_bits(
+        dense_entries(red.normal_matrix)
     )
     assert vec_bits(red_flipped.normal_rhs) == vec_bits(red.normal_rhs)
 
@@ -332,7 +328,7 @@ def test_criterion_6f_estimator_matches_tridiagonal_law(n):
 
 
 def test_criterion_7_divergence_handling():
-    a = DenseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]])
+    a = SparseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NoConvergentMethodError, match="no convergent stationary method"):
         select_method(classify(a))
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ringsolve import SolverConfig, cli, parse_network, parse_segments, solve_direct
+from oracles import solve_direct
+from ringsolve import SolverConfig, cli, parse_network, parse_segments
 from ringsolve import matrix_core, parse_matrix, parse_vector, stationary_solvers, write_vector
 
 
@@ -521,7 +522,9 @@ class TestGoldenOutput:
     Python kernel; they pin the wavefront that now runs the deferred
     sweeps.  The forced-method ring runs stop at ``--max-iter`` and print
     the last iterate of the whole stretch; ``tri200`` records a residual
-    on every sweep of it.
+    on every sweep of it.  ``sec21_analyze.out``, the plain profile of the
+    only dense fixture, was written while dense files were still parsed
+    into a dense matrix type and converted to CSR.
     """
 
     def test_solve_and_history(self, capsys, sec21, tmp_path):
@@ -530,6 +533,11 @@ class TestGoldenOutput:
         assert code == 0 and err == ""
         assert out == (GOLDEN / "sec21_solve.out").read_text()
         assert history.read_text() == (GOLDEN / "sec21_history.csv").read_text()
+
+    def test_analyze_text(self, capsys, sec21):
+        code, out, err = run(capsys, "analyze", sec21[0])
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "sec21_analyze.out").read_text()
 
     def test_analyze_json(self, capsys, sec21):
         code, out, err = run(capsys, "analyze", "--json", sec21[0])

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import vec_bits
+from conftest import dense_entries, from_flat, to_rows, vec_bits
+from oracles import csr_from_dense
 from ringsolve import (
-    DenseMatrix,
     ParseError,
     SegmentFlows,
     SparseMatrix,
@@ -38,13 +38,13 @@ class TestParseErrorType:
 class TestParseMatrixDense:
     def test_happy_path(self):
         m = parse_matrix("dense 2 3\n1 2 3\n4 5 -6.5\n")
-        assert isinstance(m, DenseMatrix)
-        assert m.to_rows() == [[1.0, 2.0, 3.0], [4.0, 5.0, -6.5]]
+        assert isinstance(m, SparseMatrix)
+        assert to_rows(m) == [[1.0, 2.0, 3.0], [4.0, 5.0, -6.5]]
 
     def test_comments_and_blanks_keep_physical_numbering(self):
         text = "# heading\n\ndense 2 2\n1 2\n\n# middle\n3 4\n"
         m = parse_matrix(text)
-        assert m.to_rows() == [[1.0, 2.0], [3.0, 4.0]]
+        assert to_rows(m) == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_short_row_reports_physical_line(self):
         with pytest.raises(ParseError) as err:
@@ -99,11 +99,11 @@ class TestParseMatrixSparse:
     def test_happy_path(self):
         m = parse_matrix("sparse 2 3 3\n0 0 1.5\n0 2 -2\n1 1 4\n")
         assert isinstance(m, SparseMatrix)
-        assert m.to_dense().to_rows() == [[1.5, 0.0, -2.0], [0.0, 4.0, 0.0]]
+        assert to_rows(m) == [[1.5, 0.0, -2.0], [0.0, 4.0, 0.0]]
 
     def test_zero_entries_allowed(self):
         m = parse_matrix("sparse 2 2 0\n")
-        assert m.to_dense().to_rows() == [[0.0, 0.0], [0.0, 0.0]]
+        assert to_rows(m) == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_duplicate_entry(self):
         with pytest.raises(ParseError, match=r"line 3: duplicate entry at \(0, 0\)"):
@@ -138,31 +138,63 @@ class TestParseMatrixSparse:
             parse_matrix("sparse 2 2\n")
 
 
+# Signed zeros, subnormals and ordinary finite values.
+matrix_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, -2.5e-320]),
+    finite_floats,
+)
+
+
+@st.composite
+def dense_rows(draw):
+    """Row lists of a 1 x 1 to 4 x 4 matrix."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(matrix_entries, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def csr_bits(m):
+    return (m.rows, m.cols, m.row_offsets, m.col_indices, vec_bits(m.values))
+
+
 class TestWriteMatrix:
-    def test_dense_text(self):
-        m = DenseMatrix.from_rows([[1.0, 0.5], [-0.0, 3.0]])
-        assert write_matrix(m) == "dense 2 2\n1 0.5\n-0 3\n"
+    def test_dense_file_is_written_as_sparse(self):
+        m = parse_matrix("dense 2 2\n1 0.5\n-0 0\n")
+        assert write_matrix(m) == "sparse 2 2 3\n0 0 1\n0 1 0.5\n1 0 -0\n"
 
     def test_sparse_text(self):
-        m = SparseMatrix.from_dense(DenseMatrix.from_rows([[1.5, 0.0], [0.0, -0.0]]))
+        m = SparseMatrix.from_rows([[1.5, 0.0], [0.0, -0.0]])
         assert write_matrix(m) == "sparse 2 2 2\n0 0 1.5\n1 1 -0\n"
 
-    def test_dense_round_trip_preserves_negative_zero(self):
-        m = DenseMatrix.from_rows([[-0.0, 1e-300], [12345.678901234567, -2.0]])
+    def test_round_trip_preserves_negative_zero(self):
+        m = SparseMatrix.from_rows([[-0.0, 1e-300], [12345.678901234567, -2.0]])
         back = parse_matrix(write_matrix(m))
-        assert vec_bits(back.entries) == vec_bits(m.entries)
+        assert csr_bits(back) == csr_bits(m)
 
     def test_sparse_round_trip(self):
-        m = SparseMatrix.from_dense(DenseMatrix.from_rows([[0.0, -0.0], [3.5, 0.0]]))
+        m = SparseMatrix.from_rows([[0.0, -0.0], [3.5, 0.0]])
         back = parse_matrix(write_matrix(m))
         assert isinstance(back, SparseMatrix)
         assert back == m
 
     @given(st.lists(finite_floats, min_size=6, max_size=6))
     def test_round_trip_is_bit_exact_property(self, cells):
-        m = DenseMatrix(2, 3, tuple(cells))
+        m = from_flat(2, 3, cells)
         back = parse_matrix(write_matrix(m))
-        assert vec_bits(back.entries) == vec_bits(m.entries)
+        assert vec_bits(dense_entries(back)) == vec_bits(dense_entries(m))
+
+    @given(dense_rows())
+    def test_dense_text_and_from_rows_match_the_conversion_oracle(self, rows):
+        """A dense file and ``from_rows`` store exactly the entries that are
+        not +0.0, as the old dense-to-CSR conversion did."""
+        want = csr_from_dense(len(rows), len(rows[0]), [v for row in rows for v in row])
+        text = f"dense {len(rows)} {len(rows[0])}\n" + "".join(
+            " ".join(repr(v) for v in row) + "\n" for row in rows
+        )
+        parsed = parse_matrix(text)
+        assert csr_bits(parsed) == csr_bits(want)
+        assert csr_bits(SparseMatrix.from_rows(rows)) == csr_bits(want)
+        assert csr_bits(parse_matrix(write_matrix(parsed))) == csr_bits(parsed)
 
 
 class TestVectorFormat:

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_system, tridiag
+from conftest import identity, ring_system, to_rows, tridiag
 from ringsolve import (
-    DenseMatrix,
     MatrixProfile,
     Method,
     NoConvergentMethodError,
@@ -31,7 +30,8 @@ from ringsolve import (
 )
 from ringsolve import matrix_core
 
-SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
+SEC21_ROWS = [[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]]
+SEC21 = SparseMatrix.from_rows(SEC21_ROWS)
 
 signed_entries = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]),
@@ -62,10 +62,10 @@ def dense_cholesky_succeeds(rows) -> bool:
 
 @st.composite
 def flagged_matrices(draw):
-    """(DenseMatrix, SparseMatrix) of one square matrix that is, by draw,
+    """(rows, SparseMatrix) of one square matrix that is, by draw,
     symmetric, tridiagonal, both or neither, or symmetric with a ragged
     envelope (an arrow, a wide band, or a random first column per row),
-    with signed zeros; the sparse form also stores a random subset of the
+    with signed zeros; the CSR form also stores a random subset of the
     +0.0 entries."""
     shape = draw(
         st.sampled_from(
@@ -108,10 +108,7 @@ def flagged_matrices(draw):
                 col_indices.append(j)
                 stored.append(v)
         offsets.append(len(stored))
-    return (
-        DenseMatrix.from_rows(rows),
-        SparseMatrix(n, n, tuple(offsets), tuple(col_indices), tuple(stored)),
-    )
+    return rows, SparseMatrix(n, n, tuple(offsets), tuple(col_indices), tuple(stored))
 
 
 def definitional_flags(rows):
@@ -160,33 +157,33 @@ def profile_with(rho_j=None, rho_g=None, rho_s=None, sor_omega=None, **flag_over
 
 class TestSpectralRadius:
     def test_diagonal_matrix(self):
-        est = spectral_radius(DenseMatrix.from_rows([[0.9, 0.0], [0.0, 0.5]]))
+        est = spectral_radius(SparseMatrix.from_rows([[0.9, 0.0], [0.0, 0.5]]))
         assert est.converged
         assert abs(est.rho - 0.9) < 1e-5
 
     def test_rotation_has_radius_one(self):
-        est = spectral_radius(DenseMatrix.from_rows([[0.0, -1.0], [1.0, 0.0]]))
+        est = spectral_radius(SparseMatrix.from_rows([[0.0, -1.0], [1.0, 0.0]]))
         assert est.converged
         assert est.rho == 1.0
 
     def test_scaled_rotation(self):
         # The dominant pair is complex conjugate; a single-step ratio would
         # oscillate forever, the windowed geometric mean settles at once.
-        est = spectral_radius(DenseMatrix.from_rows([[0.0, -0.8], [0.8, 0.0]]))
+        est = spectral_radius(SparseMatrix.from_rows([[0.0, -0.8], [0.8, 0.0]]))
         assert est.converged
         assert abs(est.rho - 0.8) < 1e-12
 
     def test_plus_minus_pair(self):
-        est = spectral_radius(DenseMatrix.from_rows([[0.9, 0.0], [0.0, -0.9]]))
+        est = spectral_radius(SparseMatrix.from_rows([[0.9, 0.0], [0.0, -0.9]]))
         assert est.converged
         assert abs(est.rho - 0.9) < 1e-9
 
     def test_zero_matrix_shortcut(self):
-        est = spectral_radius(DenseMatrix.from_rows([[0.0, 0.0], [0.0, 0.0]]))
+        est = spectral_radius(SparseMatrix.from_rows([[0.0, 0.0], [0.0, 0.0]]))
         assert (est.rho, est.iterations_used, est.converged) == (0.0, 0, True)
 
     def test_nilpotent_collapse(self):
-        est = spectral_radius(DenseMatrix.from_rows([[0.0, 1.0], [0.0, 0.0]]))
+        est = spectral_radius(SparseMatrix.from_rows([[0.0, 1.0], [0.0, 0.0]]))
         assert est.rho == 0.0
         assert est.converged
         assert est.iterations_used == 2
@@ -194,7 +191,7 @@ class TestSpectralRadius:
     def test_defective_eigenvalue_does_not_stabilize_quickly(self):
         # A Jordan block's growth factors creep toward the radius like
         # 1 + O(1/k), too slowly for the stability rule at small budgets.
-        t = DenseMatrix.from_rows([[0.9, 1.0], [0.0, 0.9]])
+        t = SparseMatrix.from_rows([[0.9, 1.0], [0.0, 0.9]])
         est = spectral_radius(t, max_steps=200)
         assert not est.converged
         assert est.iterations_used == 200
@@ -213,21 +210,21 @@ class TestSpectralRadius:
         assert a == b
 
     def test_records_tolerance(self):
-        est = spectral_radius(DenseMatrix.identity(3), tol=1e-4)
+        est = spectral_radius(identity(3), tol=1e-4)
         assert est.tolerance == 1e-4
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="expected square"):
-            spectral_radius(DenseMatrix.from_rows([[1.0, 2.0]]))
+            spectral_radius(SparseMatrix.from_rows([[1.0, 2.0]]))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6])
     def test_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            spectral_radius(DenseMatrix.identity(2), tol=tol)
+            spectral_radius(identity(2), tol=tol)
 
     def test_bad_max_steps(self):
         with pytest.raises(ValueError, match="max_steps must be at least 1"):
-            spectral_radius(DenseMatrix.identity(2), max_steps=0)
+            spectral_radius(identity(2), max_steps=0)
 
     @given(st.floats(min_value=0.05, max_value=0.99), st.floats(min_value=0.0, max_value=math.pi))
     @settings(max_examples=60)
@@ -235,7 +232,7 @@ class TestSpectralRadius:
         # rho of r * rotation(angle) is exactly r for any angle; the
         # estimator should land within its tolerance whenever it converges.
         c, s = math.cos(angle), math.sin(angle)
-        t = DenseMatrix.from_rows([[r * c, -r * s], [r * s, r * c]])
+        t = SparseMatrix.from_rows([[r * c, -r * s], [r * s, r * c]])
         est = spectral_radius(t, tol=1e-8)
         assume(est.converged)
         assert abs(est.rho - r) <= 1e-6 * max(1.0, r)
@@ -277,7 +274,7 @@ class TestSorRadius:
     @pytest.mark.parametrize("omega", [0.7, 1.0, 1.5, 1.7, 1.95])
     def test_matches_dense_eigenvalues_on_rings(self, n, omega):
         a = reduce(*ring_system([0.0] * n)).normal_matrix
-        t = np.array(iteration_matrix(a, Method.sor(omega)).T.entries).reshape(n - 1, n - 1)
+        t = np.array(to_rows(iteration_matrix(a, Method.sor(omega)).T))
         want = np.abs(np.linalg.eigvals(t)).max()
         assert abs(sor_radius(math.cos(math.pi / n), omega) - want) <= 1e-12
 
@@ -351,7 +348,7 @@ class TestEstimateIterations:
 
 class TestStructureFlags:
     def test_identity(self):
-        assert structure_flags(DenseMatrix.identity(5)) == {
+        assert structure_flags(identity(5)) == {
             "is_symmetric": True,
             "is_strictly_diag_dominant": True,
             "is_weakly_diag_dominant": True,
@@ -378,7 +375,7 @@ class TestStructureFlags:
         assert not flags["is_strictly_diag_dominant"]
 
     def test_zero_diagonal_detected(self):
-        flags = structure_flags(DenseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]]))
+        flags = structure_flags(SparseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]]))
         assert flags["has_zero_diagonal"]
 
     @given(
@@ -391,7 +388,7 @@ class TestStructureFlags:
         m = np.array(cells, dtype=np.float64).reshape(6, 6)
         if symmetrize:
             m = np.triu(m) + np.triu(m, 1).T
-        flags = structure_flags(DenseMatrix.from_rows(m.tolist()))
+        flags = structure_flags(SparseMatrix.from_rows(m.tolist()))
         assert flags["is_symmetric"] == bool((m == m.T).all())
         off = np.abs(m).sum(axis=1) - np.abs(np.diag(m))
         assert flags["is_strictly_diag_dominant"] == bool(
@@ -415,30 +412,25 @@ class TestStructureFlags:
 
     @given(flagged_matrices())
     def test_csr_flags_match_dense_and_definitions(self, pair):
-        dense, sparse = pair
-        want = definitional_flags(dense.to_rows())
-        assert structure_flags(sparse) == want
-        assert structure_flags(dense) == want
+        rows, stored = pair
+        want = definitional_flags(rows)
+        assert structure_flags(stored) == want
+        assert structure_flags(SparseMatrix.from_rows(rows)) == want
 
     @given(flagged_matrices(), st.sampled_from([1e-6, -1e-6]))
     def test_positive_definiteness_at_the_edge_of_the_spectrum_property(self, pair, margin):
         # Shifting the smallest eigenvalue to +-margin makes the answer
         # depend on every L entry, not only on the first pivots.
-        m = np.array(pair[0].to_rows())
+        m = np.array(pair[0])
         assume((m == m.T).all())
         shift = margin * max(1.0, float(np.abs(m).max())) - float(np.linalg.eigvalsh(m)[0])
         rows = (m + shift * np.eye(len(m))).tolist()
-        flags = structure_flags(SparseMatrix.from_dense(DenseMatrix.from_rows(rows)))
+        flags = structure_flags(SparseMatrix.from_rows(rows))
         assert flags["is_positive_definite"] == (margin > 0.0) == dense_cholesky_succeeds(rows)
 
-    def test_positive_definiteness_never_densifies(self, monkeypatch, fixtures_dir):
+    def test_positive_definiteness_of_a_grid_and_a_ring(self, fixtures_dir):
         grid = parse_matrix((fixtures_dir / "poisson10.mat").read_text())
         ring = reduce(*ring_system([0.0] * 64)).normal_matrix
-
-        def refuse(self):
-            raise AssertionError("structure_flags made a matrix dense")
-
-        monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
         for a in (grid, ring):
             flags = structure_flags(a)
             assert flags["is_symmetric"] and flags["is_positive_definite"]
@@ -447,7 +439,7 @@ class TestStructureFlags:
 
 class TestClassify:
     def test_identity_all_radii_zero_prefers_gauss_seidel(self):
-        profile = classify(DenseMatrix.identity(5))
+        profile = classify(identity(5))
         assert profile.rho_jacobi == 0.0
         assert profile.rho_gauss_seidel == 0.0
         assert profile.rho_sor == 0.0
@@ -465,9 +457,10 @@ class TestClassify:
 
         monkeypatch.setattr(matrix_core, "split_dlu", counting)
         red = reduce(*ring_system([1.0, -1.0] * 8))
-        # SEC21's radii are measured, the ring's are closed forms.
+        # SEC21's radii are measured, the ring's are closed forms.  A fresh
+        # matrix has no split yet.
         for a, b in (
-            (SparseMatrix.from_dense(SEC21), Vector((-1.0, 2.0, 3.0))),
+            (SparseMatrix.from_rows(SEC21_ROWS), Vector((-1.0, 2.0, 3.0))),
             (red.normal_matrix, red.normal_rhs),
         ):
             calls.clear()
@@ -478,7 +471,7 @@ class TestClassify:
     def test_overflowing_iteration_matrix_names_its_first_bad_entry(self):
         # Nonsymmetric, so the radii are measured; T_jacobi[1][0] is
         # -1e10 / 1e-300, row-major entry 3.
-        a = DenseMatrix.from_rows([[1.0, 0.5, 0.0], [1e10, 1e-300, 0.0], [0.0, 0.0, 1.0]])
+        a = SparseMatrix.from_rows([[1.0, 0.5, 0.0], [1e10, 1e-300, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match=r"^matrix entry 3 is not finite: -inf$"):
             classify(a)
 
@@ -501,7 +494,7 @@ class TestClassify:
         assert profile.recommendation == Method.gauss_seidel()
 
     def test_zero_diagonal_profile(self):
-        profile = classify(DenseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]]))
+        profile = classify(SparseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]]))
         assert profile.has_zero_diagonal
         assert profile.rho_jacobi is None
         assert profile.rho_gauss_seidel is None
@@ -511,7 +504,7 @@ class TestClassify:
         assert profile.recommendation == "none convergent"
 
     def test_divergent_matrix_recommends_nothing(self):
-        profile = classify(DenseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]]))
+        profile = classify(SparseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]]))
         assert abs(profile.rho_jacobi - 2.0) < 1e-6
         assert abs(profile.rho_gauss_seidel - 4.0) < 1e-5
         assert profile.recommendation == "none convergent"
@@ -519,9 +512,7 @@ class TestClassify:
     @pytest.mark.parametrize("scale", [2.0, 0.25])
     def test_power_of_two_scaling_is_bit_invariant(self, scale):
         a = tridiag(6)
-        scaled = DenseMatrix.from_rows(
-            [[scale * v for v in row] for row in a.to_rows()]
-        )
+        scaled = SparseMatrix.from_rows([[scale * v for v in row] for row in to_rows(a)])
         base = classify(a)
         other = classify(scaled)
         assert other.rho_jacobi == base.rho_jacobi
@@ -532,7 +523,7 @@ class TestClassify:
 
     def test_general_scaling_leaves_radii_nearly_unchanged(self):
         a = SEC21
-        scaled = DenseMatrix.from_rows([[3.0 * v for v in row] for row in a.to_rows()])
+        scaled = SparseMatrix.from_rows([[3.0 * v for v in row] for row in to_rows(a)])
         base = classify(a)
         other = classify(scaled)
         assert abs(other.rho_jacobi - base.rho_jacobi) < 1e-6
@@ -552,7 +543,7 @@ def _tridiagonal(diag, sub):
 
 def _dense_radius(a, method):
     t = iteration_matrix(a, method).T
-    return float(np.abs(np.linalg.eigvals(np.array(t.entries).reshape(t.rows, t.cols))).max())
+    return float(np.abs(np.linalg.eigvals(np.array(to_rows(t)))).max())
 
 
 class TestClosedFormRadii:
@@ -569,10 +560,6 @@ class TestClosedFormRadii:
         assert profile.sor_omega == profile.omega_star
         assert profile.radii_converged
 
-    def test_sparse_input_gives_identical_profile(self):
-        a = tridiag(9)
-        assert classify(SparseMatrix.from_dense(a)) == classify(a)
-
     @given(
         st.lists(st.floats(min_value=0.25, max_value=8.0), min_size=2, max_size=8),
         st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=7, max_size=7),
@@ -586,7 +573,7 @@ class TestClosedFormRadii:
             for i, c in enumerate(coupling[: len(diag) - 1])
         ]
         rows = _tridiagonal(diag, sub)
-        a = DenseMatrix.from_rows(rows)
+        a = SparseMatrix.from_rows(rows)
         profile = classify(a)
         if reach == 0.5:
             assert profile.is_positive_definite
@@ -611,16 +598,16 @@ class TestClosedFormRadii:
     )
     def test_banded_positive_definite_flag_matches_dense_cholesky_property(self, diag, sub):
         rows = _tridiagonal([float(d) for d in diag], [float(v) for v in sub[: len(diag) - 1]])
-        flags = structure_flags(DenseMatrix.from_rows(rows))
+        flags = structure_flags(SparseMatrix.from_rows(rows))
         assert flags["is_tridiagonal"] and flags["is_symmetric"]
         assert flags["is_positive_definite"] == dense_cholesky_succeeds(rows)
 
     def test_overflowing_scaled_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
-            classify(DenseMatrix.from_rows([[1e-200, 1e200], [1e200, 1e-200]]))
+            classify(SparseMatrix.from_rows([[1e-200, 1e200], [1e200, 1e-200]]))
 
     def test_indefinite_matrix_measures_sor_at_fallback_weight(self):
-        a = DenseMatrix.from_rows(_tridiagonal([1.0, 1.0, 1.0], [0.9, 0.9]))
+        a = SparseMatrix.from_rows(_tridiagonal([1.0, 1.0, 1.0], [0.9, 0.9]))
         profile = classify(a)
         assert not profile.is_positive_definite
         assert abs(profile.rho_jacobi - 0.9 * math.sqrt(2.0)) <= 1e-15
@@ -637,7 +624,7 @@ class TestClosedFormRadii:
             [0.25, 1.0, 0.0, 0.0],
             [0.0, 0.25, 0.0, 0.0],
         ]
-        a = DenseMatrix.from_rows(
+        a = SparseMatrix.from_rows(
             [[(1.0 if i == j else 0.0) - t[i][j] for j in range(4)] for i in range(4)]
         )
         profile = classify(a)

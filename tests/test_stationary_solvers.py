@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bits, ring_system, tridiag, vec_bits
+from conftest import bits, dense_entries, identity, ring_system, to_rows, tridiag, vec_bits
+from oracles import solve_direct
 from ringsolve import (
-    DenseMatrix,
     DivergenceError,
     MatrixProfile,
     Method,
@@ -29,7 +29,6 @@ from ringsolve import (
     reduce,
     residual,
     solve,
-    solve_direct,
     sor_sweep,
     spectral_radius,
     split_dlu,
@@ -46,7 +45,7 @@ from ringsolve.stationary_solvers import (
     _sweep_fn,
 )
 
-SEC21 = DenseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
+SEC21 = SparseMatrix.from_rows([[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]])
 SEC21_B = Vector((-1.0, 2.0, 3.0))
 
 
@@ -124,12 +123,12 @@ class TestSweeps:
     def test_jacobi_reads_only_previous_iterate(self):
         # A lower-triangular coupling: if the sweep leaked current values,
         # entry 1 would see the updated entry 0 instead of the old one.
-        a = DenseMatrix.from_rows([[1.0, 0.0], [1.0, 1.0]])
+        a = SparseMatrix.from_rows([[1.0, 0.0], [1.0, 1.0]])
         out = jacobi_sweep(split_dlu(a), Vector((10.0, 0.0)), Vector((1.0, 0.0)))
         assert out.entries == (1.0, -10.0)
 
     def test_one_by_one_system(self):
-        split = split_dlu(DenseMatrix.from_rows([[4.0]]))
+        split = split_dlu(SparseMatrix.from_rows([[4.0]]))
         b = Vector((8.0,))
         for out in (
             jacobi_sweep(split, Vector((123.0,)), b),
@@ -144,7 +143,7 @@ class TestSweeps:
         assert max(abs(a - b) for a, b in zip(out.entries, want)) < 1e-15
 
     def test_gauss_seidel_exact_on_diagonal_system(self):
-        split = split_dlu(DenseMatrix.from_rows([[2.0, 0.0], [0.0, 5.0]]))
+        split = split_dlu(SparseMatrix.from_rows([[2.0, 0.0], [0.0, 5.0]]))
         out = gauss_seidel_sweep(split, Vector.zeros(2), Vector((4.0, 10.0)))
         assert out.entries == (2.0, 2.0)
 
@@ -172,7 +171,7 @@ class TestSweeps:
         assert sor_sweep(split, x, SEC21_B, 0.0).entries == x.entries
 
     def test_zero_diagonal_names_row(self):
-        split = split_dlu(DenseMatrix.from_rows([[1.0, 2.0], [3.0, 0.0]]))
+        split = split_dlu(SparseMatrix.from_rows([[1.0, 2.0], [3.0, 0.0]]))
         with pytest.raises(ZeroDiagonalError, match="zero diagonal entry at row 1"):
             jacobi_sweep(split, Vector.zeros(2), Vector.zeros(2))
 
@@ -306,7 +305,7 @@ class TestSweepOracle:
     def test_weight_one_may_differ_from_gauss_seidel_in_the_sign_of_zero(self):
         # (1 - 1) * old is +0.0 for a positive old value, and +0.0 + -0.0 is
         # +0.0; the Gauss-Seidel update keeps the -0.0.
-        split = split_dlu(DenseMatrix.from_rows([[1.0]]))
+        split = split_dlu(SparseMatrix.from_rows([[1.0]]))
         x, b = Vector((1.0,)), Vector((-0.0,))
         assert vec_bits(gauss_seidel_sweep(split, x, b)) == vec_bits([-0.0])
         assert vec_bits(sor_sweep(split, x, b, 1.0)) == vec_bits([0.0])
@@ -377,62 +376,62 @@ class TestIterationArrayOracle:
         t = _iteration_array(split_dlu(a), method)
         assert vec_bits(t.ravel().tolist()) == vec_bits(want_t)
         im = iteration_matrix(a, method, b)
-        assert vec_bits(im.T.entries) == vec_bits(want_t)
+        assert vec_bits(dense_entries(im.T)) == vec_bits(want_t)
         assert vec_bits(im.c) == vec_bits(want_c)
 
     @given(csr_systems(diagonal=extreme_diagonal, entries=extreme_entries), methods)
-    def test_non_finite_entry_named_as_dense_matrix_names_it(self, system, method):
+    def test_non_finite_entry_named_by_its_row_major_index(self, system, method):
         a, _, _ = system
         want_t, _ = textbook_iteration_matrix(a, method)
-        n = a.rows
-        try:
-            DenseMatrix(n, n, tuple(want_t))
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+        bad = [k for k, v in enumerate(want_t) if not math.isfinite(v)]
+        if bad:
+            message = f"matrix entry {bad[0]} is not finite: {want_t[bad[0]]!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 _iteration_array(split_dlu(a), method)
         else:
             t = _iteration_array(split_dlu(a), method)
             assert vec_bits(t.ravel().tolist()) == vec_bits(want_t)
 
     @given(csr_systems(), methods)
-    def test_power_iteration_same_on_array_and_dense_matrix(self, system, method):
+    def test_power_iteration_same_on_array_and_csr_matrix(self, system, method):
         a, _, _ = system
         t = _iteration_array(split_dlu(a), method)
         from_array = _power_radius(t, 1e-10, 500)
-        from_dense = spectral_radius(iteration_matrix(a, method).T, tol=1e-10, max_steps=500)
-        assert from_array == from_dense
-        assert bits(from_array.rho) == bits(from_dense.rho)
+        from_csr = spectral_radius(iteration_matrix(a, method).T, tol=1e-10, max_steps=500)
+        assert from_array == from_csr
+        assert bits(from_array.rho) == bits(from_csr.rho)
 
     def test_zero_diagonal_rejected(self):
-        a = DenseMatrix.from_rows([[1.0, 1.0], [1.0, 0.0]])
+        a = SparseMatrix.from_rows([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ZeroDiagonalError, match="row 1"):
             _iteration_array(split_dlu(a), Method.sor(1.5))
 
 
 class TestIterationMatrix:
     def test_jacobi_form_of_symmetric_pair(self):
-        im = iteration_matrix(DenseMatrix.from_rows([[2.0, 1.0], [1.0, 2.0]]), Method.jacobi())
-        assert im.T.to_rows() == [[0.0, -0.5], [-0.5, 0.0]]
+        im = iteration_matrix(SparseMatrix.from_rows([[2.0, 1.0], [1.0, 2.0]]), Method.jacobi())
+        assert to_rows(im.T) == [[0.0, -0.5], [-0.5, 0.0]]
         assert im.c.entries == (0.0, 0.0)
 
     @pytest.mark.parametrize("method", [Method.jacobi(), Method.gauss_seidel()])
     def test_diagonal_matrix_gives_zero_t(self, method):
-        a = DenseMatrix.from_rows([[2.0, 0.0], [0.0, -3.0]])
+        a = SparseMatrix.from_rows([[2.0, 0.0], [0.0, -3.0]])
         im = iteration_matrix(a, method, Vector((4.0, 9.0)))
-        assert im.T.entries == (0.0,) * 4
+        assert dense_entries(im.T) == [0.0] * 4
         assert im.c.entries == (2.0, -3.0)
 
     def test_diagonal_matrix_sor_shrinks_toward_identity_map(self):
         # With no off-diagonal coupling the SOR map is x <- (1-w)x + w D^-1 b.
-        a = DenseMatrix.from_rows([[2.0, 0.0], [0.0, -3.0]])
+        a = SparseMatrix.from_rows([[2.0, 0.0], [0.0, -3.0]])
         im = iteration_matrix(a, Method.sor(1.3), Vector((4.0, 9.0)))
-        assert im.T.to_rows() == [[1.0 - 1.3, 0.0], [0.0, 1.0 - 1.3]]
+        assert to_rows(im.T) == [[1.0 - 1.3, 0.0], [0.0, 1.0 - 1.3]]
         assert im.c.entries == (1.3 * 2.0, 1.3 * -3.0)
 
     def test_sor_at_weight_one_equals_gauss_seidel(self):
         im_gs = iteration_matrix(SEC21, Method.gauss_seidel(), SEC21_B)
         im_sor = iteration_matrix(SEC21, Method.sor(1.0), SEC21_B)
-        assert max(abs(a - b) for a, b in zip(im_gs.T.entries, im_sor.T.entries)) <= 1e-14
+        t_gs, t_sor = dense_entries(im_gs.T), dense_entries(im_sor.T)
+        assert max(abs(a - b) for a, b in zip(t_gs, t_sor)) <= 1e-14
         assert max(abs(a - b) for a, b in zip(im_gs.c.entries, im_sor.c.entries)) <= 1e-14
 
     @pytest.mark.parametrize(
@@ -441,14 +440,13 @@ class TestIterationMatrix:
     def test_direct_solution_is_fixed_point(self, method):
         im = iteration_matrix(SEC21, method, SEC21_B)
         x = solve_direct(SEC21, SEC21_B)
-        mapped = [
-            sum(im.T.entry(i, j) * x[j] for j in range(3)) + im.c[i] for i in range(3)
-        ]
+        t = to_rows(im.T)
+        mapped = [sum(t[i][j] * x[j] for j in range(3)) + im.c[i] for i in range(3)]
         assert max(abs(m - v) for m, v in zip(mapped, x.entries)) < 1e-14
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ZeroDiagonalError, match="row 0"):
-            iteration_matrix(DenseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]]), Method.jacobi())
+            iteration_matrix(SparseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]]), Method.jacobi())
 
 
 class TestResidual:
@@ -467,7 +465,7 @@ class TestResidual:
 
     def test_identity_exact(self):
         b = Vector((1.0, -2.0))
-        assert residual(DenseMatrix.identity(2), b, b).entries == (0.0, 0.0)
+        assert residual(identity(2), b, b).entries == (0.0, 0.0)
 
     def test_direct_solution_has_tiny_residual(self):
         x = solve_direct(SEC21, SEC21_B)
@@ -476,7 +474,7 @@ class TestResidual:
 
 class TestSolve:
     def test_diagonal_system_converges_in_one_iteration(self):
-        a = DenseMatrix.from_rows([[2.0, 0.0], [0.0, 4.0]])
+        a = SparseMatrix.from_rows([[2.0, 0.0], [0.0, 4.0]])
         b = Vector((2.0, 8.0))
         for method in (Method.jacobi(), Method.gauss_seidel(), Method.sor(1.0)):
             report = solve(a, b, SolverConfig(method=method, eta=1e-12))
@@ -506,7 +504,7 @@ class TestSolve:
     def test_prediction_defers_first_residual_check(self):
         # The iterate is exact after one sweep, but a supplied radius makes
         # the driver wait for the predicted count before checking at all.
-        a = DenseMatrix.from_rows([[2.0, 0.0], [0.0, 2.0]])
+        a = SparseMatrix.from_rows([[2.0, 0.0], [0.0, 2.0]])
         b = Vector((2.0, 2.0))
         profile = fake_profile(rho_j=0.5)
         report = solve(a, b, SolverConfig(method=Method.jacobi(), eta=1e-3), profile)
@@ -534,7 +532,7 @@ class TestSolve:
         # T_jacobi has eigenvalues +-1/2, yet the first iterates of Jacobi
         # (x1 = b) and of SOR at 1.5 pass 1e150; Gauss-Seidel's second
         # entry cancels to 0 exactly.
-        a = DenseMatrix.from_rows([[1.0, 2.0**-172], [2.0**170, 1.0]])
+        a = SparseMatrix.from_rows([[1.0, 2.0**-172], [2.0**170, 1.0]])
         b = Vector((2.0**490, 2.0**660))
         profile = classify(a)
         assert profile.recommendation == Method.gauss_seidel()
@@ -565,7 +563,7 @@ class TestSolve:
         assert report.iterations_run >= report.predicted_iterations
 
     def test_divergence_raises_with_iteration_index(self):
-        a = DenseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]])
+        a = SparseMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]])
         config = SolverConfig(method=Method.jacobi(), eta=1e-3, max_iterations=10000)
         with pytest.raises(DivergenceError, match=r"diverged at iteration \d+"):
             solve(a, Vector((1.0, 1.0)), config)
@@ -574,14 +572,14 @@ class TestSolve:
         # The magnitudes sum to 1.8e150, past the bound, but no entry is.
         b = Vector((9e149, 9e149))
         config = SolverConfig(method=Method.jacobi(), eta=1e-3)
-        report = solve(DenseMatrix.identity(2), b, config)
+        report = solve(identity(2), b, config)
         assert report.converged and report.iterations_run == 1
         assert report.solution == b
 
     def test_nan_in_last_entry_raises_at_its_iteration(self):
         # Iteration 1 gives (1e10, 1e10, 0); in iteration 2 the last row
         # adds +inf and -inf, so only the last entry turns NaN.
-        a = DenseMatrix.from_rows(
+        a = SparseMatrix.from_rows(
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1e300, 1e300, 1.0]]
         )
         config = SolverConfig(method=Method.jacobi(), eta=1e-3, max_iterations=10)
@@ -621,7 +619,7 @@ class TestSolve:
             solve(SEC21, SEC21_B, config)
 
     def test_zero_diagonal_rejected(self):
-        a = DenseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]])
+        a = SparseMatrix.from_rows([[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ZeroDiagonalError, match="row 0"):
             solve(a, Vector((1.0, 1.0)), SolverConfig(method=Method.jacobi()))
 
@@ -633,15 +631,6 @@ class TestSolve:
         assert first.residual_history == second.residual_history
         assert first.iterations_run == second.iterations_run
         assert first.wall_time >= 0.0
-
-    def test_sparse_and_dense_inputs_agree_bit_for_bit(self):
-        from ringsolve import SparseMatrix
-
-        config = SolverConfig(method=Method.gauss_seidel(), eta=1e-9)
-        dense_report = solve(SEC21, SEC21_B, config)
-        sparse_report = solve(SparseMatrix.from_dense(SEC21), SEC21_B, config)
-        assert vec_bits(dense_report.solution) == vec_bits(sparse_report.solution)
-        assert dense_report.iterations_run == sparse_report.iterations_run
 
 
 def band_matrix(diag, lower, upper, extra=()):

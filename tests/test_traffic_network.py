@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ring_matrix, ring_system, vec_bits
+from conftest import identity, ring_matrix, ring_system, to_rows, vec_bits
+from oracles import solve_direct
 from ringsolve import (
     Branch,
-    DenseMatrix,
     FlowNetwork,
     Method,
     Node,
@@ -31,7 +31,6 @@ from ringsolve import (
     reduce,
     select_method,
     solve,
-    solve_direct,
     solve_traffic,
 )
 from ringsolve import matrix_core, stationary_solvers
@@ -176,7 +175,7 @@ class TestGenerateRing:
 
     def test_assembles_to_circulant_pattern(self):
         a, b = ring_system([7.0, -1.0, -2.0, -4.0])
-        assert a.to_dense().to_rows() == [
+        assert to_rows(a) == [
             [1.0, -1.0, 0.0, 0.0],
             [0.0, 1.0, -1.0, 0.0],
             [0.0, 0.0, 1.0, -1.0],
@@ -199,7 +198,7 @@ class TestAssemble:
             (Branch(0, "b", "a"), Branch(1, "c", "b"), Branch(2, "a", "c")),
         )
         a, b = assemble(network)
-        assert a.to_dense().to_rows() == [
+        assert to_rows(a) == [
             [1.0, 0.0, -1.0],
             [-1.0, 1.0, 0.0],
             [0.0, -1.0, 1.0],
@@ -214,12 +213,12 @@ class TestAssemble:
             (Branch(0, "b", "a"), Branch(1, "b", "a")),
         )
         a, b = assemble(network)
-        assert a.to_dense().to_rows() == [[1.0, 1.0], [1.0, 1.0]]
+        assert to_rows(a) == [[1.0, 1.0], [1.0, 1.0]]
         assert b.entries == (-1.0, -1.0)
 
     def test_columns_sum_to_zero(self):
         a, _ = ring_system([1.0, 2.0, -3.0, 0.0, 0.0])
-        rows = a.to_dense().to_rows()
+        rows = to_rows(a)
         for j in range(5):
             assert sum(rows[i][j] for i in range(5)) == 0.0
 
@@ -235,13 +234,13 @@ class TestReduce:
         red = reduce(a, b)
         assert red.dropped_column == 3
         assert red.a_tilde.rows == 4 and red.a_tilde.cols == 3
-        assert red.a_tilde.to_dense().to_rows() == [
+        assert to_rows(red.a_tilde) == [
             [1.0, -1.0, 0.0],
             [0.0, 1.0, -1.0],
             [0.0, 0.0, 1.0],
             [-1.0, 0.0, 0.0],
         ]
-        assert red.normal_matrix.to_dense().to_rows() == [
+        assert to_rows(red.normal_matrix) == [
             [2.0, -1.0, 0.0],
             [-1.0, 2.0, -1.0],
             [0.0, -1.0, 2.0],
@@ -251,7 +250,7 @@ class TestReduce:
     @pytest.mark.parametrize("n", [3, 5, 17, 40])
     def test_normal_matrix_is_exact_laplacian(self, n):
         red = reduce(*ring_system([0.0] * n))
-        rows = red.normal_matrix.to_dense().to_rows()
+        rows = to_rows(red.normal_matrix)
         for i in range(n - 1):
             for j in range(n - 1):
                 want = 2.0 if i == j else (-1.0 if abs(i - j) == 1 else 0.0)
@@ -261,7 +260,7 @@ class TestReduce:
         with pytest.raises(
             ReductionError, match="matrix is not circulant-balanced; reduction inapplicable"
         ):
-            reduce(DenseMatrix.identity(3), Vector.zeros(3))
+            reduce(identity(3), Vector.zeros(3))
 
     def test_rhs_length_checked(self):
         a = ring_matrix(3)
@@ -270,13 +269,51 @@ class TestReduce:
 
     def test_tiny_system_rejected(self):
         with pytest.raises(ValueError, match="1x1"):
-            reduce(DenseMatrix.from_rows([[0.0]]), Vector.zeros(1))
+            reduce(SparseMatrix.from_rows([[0.0]]), Vector.zeros(1))
+
+    def test_disjoint_cycles_rejected(self, fixtures_dir):
+        network = parse_network((fixtures_dir / "two_rings.network").read_text())
+        with pytest.raises(ReductionError) as err:
+            reduce(*assemble(network))
+        assert str(err.value) == (
+            "network is not one ring: its branches form several disjoint cycles"
+        )
+
+    def test_balanced_zero_system_rejected(self):
+        zero = SparseMatrix.from_rows([[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ReductionError, match="several disjoint cycles"):
+            reduce(zero, Vector.zeros(2))
+
+    @given(
+        st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_only_one_cycle_reduces_property(self, sizes, rnd):
+        # Disjoint cycles of the given sizes, with nodes and branches in a
+        # random order and random externals.
+        names = [f"n{i}" for i in range(sum(sizes))]
+        rnd.shuffle(names)
+        cycles, at = [], 0
+        for size in sizes:
+            cycles.append(names[at : at + size])
+            at += size
+        arcs = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+        rnd.shuffle(arcs)
+        branches = tuple(Branch(i, u, v) for i, (u, v) in enumerate(arcs))
+        nodes = tuple(Node(name, float(rnd.randint(-9, 9))) for name in sorted(names))
+        a, b = assemble(FlowNetwork(nodes, branches))
+        if len(sizes) == 1:
+            red = reduce(a, b)
+            assert red.normal_matrix.rows == len(names) - 1
+        else:
+            with pytest.raises(ReductionError, match="several disjoint cycles"):
+                reduce(a, b)
 
     @given(st.lists(st.integers(min_value=-500, max_value=500), min_size=3, max_size=12))
     def test_normal_rhs_is_transpose_times_b_property(self, externals):
         a, b = ring_system([float(v) for v in externals])
         red = reduce(a, b)
-        cols = red.a_tilde.to_dense().to_rows()
+        cols = to_rows(red.a_tilde)
         n = len(externals)
         for j in range(n - 1):
             want = sum(cols[i][j] * b[i] for i in range(n))
@@ -306,7 +343,7 @@ class TestReconstruct:
     def test_reconstruction_solves_the_full_ring(self):
         a, b = ring_system([100.0, -50.0, 120.0, -170.0])
         red = reduce(a, b)
-        full, c = reconstruct(solve_direct(red.normal_matrix.to_dense(), red.normal_rhs))
+        full, c = reconstruct(solve_direct(red.normal_matrix, red.normal_rhs))
         assert full[3] == c
         assert norm2(Vector(tuple(r - v for r, v in zip(matvec(a, full).entries, b.entries)))) < 1e-10
 
@@ -335,7 +372,7 @@ class TestCloseExits:
     def test_closed_network_assembles_to_ring_pattern(self):
         closed = close_exits(ring_network([5.0, 0.0, -3.0, -2.0]), ["2"])
         a, b = assemble(closed)
-        assert a.to_dense().to_rows() == [
+        assert to_rows(a) == [
             [1.0, -1.0, 0.0],
             [0.0, 1.0, -1.0],
             [-1.0, 0.0, 1.0],
