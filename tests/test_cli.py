@@ -650,6 +650,11 @@ class TestGoldenOutput:
         assert code == 2 and "did not converge" in err
         assert out == (GOLDEN / golden).read_text()
 
+    def test_large_tridiagonal_analyze_json(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "analyze", "--json", str(fixtures_dir / "tri200.mat"))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "tri200_analyze.json").read_text()
+
     def test_large_tridiagonal_solve_and_history(self, capsys, fixtures_dir, tmp_path):
         history = tmp_path / "history.csv"
         matrix, rhs = fixtures_dir / "tri200.mat", fixtures_dir / "tri200.rhs"
