@@ -25,7 +25,6 @@ from .errors import (
     NumericalError,
     ParseError,
     ReductionError,
-    SingularMatrixError,
     ZeroDiagonalError,
 )
 from .matrix_core import (
@@ -86,7 +85,6 @@ __all__ = [
     "__version__",
     # errors
     "NumericalError",
-    "SingularMatrixError",
     "ZeroDiagonalError",
     "DivergenceError",
     "NoConvergentMethodError",

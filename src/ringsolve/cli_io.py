@@ -14,6 +14,7 @@ at max_iterations without reaching the threshold).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -543,6 +544,7 @@ def _add_solve_options(parser, **file_options) -> None:
     parser.add_argument("--timing", action="store_true", help="include wall time")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringsolve",
@@ -587,7 +589,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv) -> int:
-    """Run the command line; returns the exit status instead of exiting."""
+    """Run the command line; returns the exit status instead of exiting.
+
+    The parser is built once per process: parsing writes only to a fresh
+    namespace, so calls share no state.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))

@@ -1,29 +1,42 @@
 """Spectral radii, matrix classification, and method selection.
 
-For a symmetric tridiagonal matrix with a positive diagonal the radii
-have closed forms (Young's theory of consistently ordered matrices).  The
-Jacobi radius is the largest eigenvalue of the symmetric tridiagonal
-matrix D^-1/2 (L + U) D^-1/2, found by Sturm-count bisection in O(n) per
-step; then rho_gs = rho_j^2 and, for a positive definite matrix, the
-optimal SOR weight has radius omega* - 1.
+Young's theory of consistently ordered matrices gives most radii without
+iterating.  A is consistently ordered when integer levels gamma exist with
+gamma_j - gamma_i = +1 for every nonzero off-diagonal A_ij with j > i and
+-1 with j < i; a breadth-first search over the stored off-diagonals finds
+them or proves that none exist, exactly and in O(nnz).  Tridiagonal
+matrices need no search (gamma_i = i), which covers the normal matrices
+of ring roads.  For such a matrix with a nonzero diagonal
+rho_gs = rho_j^2.  When the Jacobi spectrum is also real and rho_j < 1,
+the optimal SOR weight is omega* = 2 / (1 + sqrt(1 - rho_j^2)) with radius
+omega* - 1, and Young's formula gives the radius at any other weight
+(``sor_radius``).  The spectrum is certified real by symmetry with a
+positive diagonal, or by a positive diagonal scaling that symmetrises a
+matrix with a positive diagonal.
 
-Every other radius is estimated by power iteration: repeated application
-of T to a fixed seed vector with renormalization after every step.  T is
-built as a dense numpy array by forward substitution on whole rows and
-handed to the power loop directly; ``iteration_matrix`` returns the same
-T in CSR form, bit for bit.  At the sizes this library targets (a few hundred
-unknowns) one dense product costs far less than applying T as a sweep in
-Python, and the loop needs hundreds to thousands of products.  The
-growth factors are averaged geometrically over a trailing window of 32
-steps, which makes the estimate insensitive to dominant eigenvalues that
-come in +/- pairs or complex-conjugate pairs; a plain Rayleigh or
-single-step ratio oscillates in those cases and never settles.
+rho_j itself is exact for a symmetric tridiagonal matrix with a positive
+diagonal: the largest eigenvalue of D^-1/2 (L + U) D^-1/2, found by
+Sturm-count bisection in O(n) per step.  Every other radius is estimated
+by power iteration: repeated application of T to a fixed seed vector with
+renormalization after every step.  T is built as a dense numpy array by
+forward substitution on whole rows and handed to the power loop directly;
+``iteration_matrix`` returns the same T in CSR form, bit for bit.  At the
+sizes this library targets (a few hundred unknowns) one dense product
+costs far less than applying T as a sweep in Python, and the loop needs
+hundreds to thousands of products.  The growth factors are averaged
+geometrically over a trailing window of 32 steps, which makes the
+estimate insensitive to dominant eigenvalues that come in +/- pairs or
+complex-conjugate pairs; a plain Rayleigh or single-step ratio oscillates
+in those cases and never settles.  A matrix that is not consistently
+ordered has its Gauss-Seidel radius measured, and one without a certified
+omega* has SOR measured at the fixed fallback weight 1.5.
 
 Classification checks each method's sufficient condition (diagonal
-dominance for Jacobi, symmetric positive definite for Gauss-Seidel, SPD
-plus tridiagonal for SOR), obtains all three radii, and recommends the
-method with the smallest one.  All of it reads the split, kernel rows and
-band that the CSR matrix keeps (``matrix_core``), which ``solve`` reuses.
+dominance for Jacobi, symmetric positive definite for Gauss-Seidel, the
+optimal weight of a consistently ordered matrix for SOR), obtains all
+three radii, and recommends the method with the smallest one.  All of it
+reads the split, kernel rows and band that the CSR matrix keeps
+(``matrix_core``), which ``solve`` reuses.
 """
 
 from __future__ import annotations
@@ -65,8 +78,12 @@ _MAX_POWER_STEPS = 50000
 _CLASSIFY_TOL = 1e-10
 # SOR weight used for profiling when the optimal-omega hypotheses fail.
 _FALLBACK_OMEGA = 1.5
-# Radii this close together are treated as tied during method selection.
+# Radii this close together are treated as tied during method selection,
+# and a radius this close to 1 counts as 1.
 _TIE_TOL = 1e-9
+# Largest |log| of the ratio r_i A_ij / (r_j A_ji) that ``_symmetrisable``
+# accepts on an edge outside the search tree, about a relative error.
+_SYMMETRISE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,7 +102,9 @@ class MatrixProfile:
 
     The radius fields are None when a zero diagonal makes the iteration
     matrices undefined.  ``omega_star`` is present only when the optimal
-    SOR weight's hypotheses hold (SPD, tridiagonal, rho_jacobi < 1);
+    SOR weight's hypotheses hold: the matrix is consistently ordered with a
+    real Jacobi spectrum (certified by symmetry or a symmetrising positive
+    diagonal scaling, with a positive diagonal) and rho_jacobi < 1;
     ``sor_omega`` always records the weight rho_sor was measured at, so
     ``omega_star is None`` with ``rho_sor`` present flags a non-optimal
     fallback profile.  A priori iteration counts need a right-hand side,
@@ -183,8 +202,9 @@ def _power_radius(mat: np.ndarray, tol: float, max_steps: int) -> SpectralEstima
 def optimal_omega(rho_j: float) -> float:
     """The SOR weight 2 / (1 + sqrt(1 - rho_j^2)) minimizing rho(T_omega).
 
-    Valid when the matrix is positive definite and tridiagonal and rho_j
-    is the Jacobi radius; the resulting SOR radius is omega - 1.
+    Valid when the matrix is consistently ordered with a real Jacobi
+    spectrum and rho_j is its Jacobi radius; the resulting SOR radius is
+    omega - 1.
     """
     if not (0.0 <= rho_j < 1.0):
         raise ValueError(f"optimal omega requires 0 <= rho_j < 1, got {rho_j}")
@@ -194,7 +214,8 @@ def optimal_omega(rho_j: float) -> float:
 def sor_radius(rho_j: float, omega: float) -> float:
     """Young's spectral radius of the SOR iteration matrix at weight omega.
 
-    Valid under the hypotheses of ``optimal_omega``.  Below the optimal
+    Valid under the hypotheses of ``optimal_omega``: a consistently ordered
+    matrix with a real Jacobi spectrum.  Below the optimal
     weight the radius is (omega rho_j + sqrt(omega^2 rho_j^2 - 4 (omega - 1)))^2 / 4;
     from the optimum on it is omega - 1.
     """
@@ -366,6 +387,75 @@ def _tridiagonal_jacobi_radius(diag, sub) -> float:
             lo = mid
 
 
+def _ordering_search(split: TriangularSplit):
+    """Levels gamma that consistently order A, with the search tree that
+    found them, or None when no such levels exist.
+
+    A breadth-first search from the lowest unvisited row over the nonzero
+    stored off-diagonals of either triangle: reaching j from i over A_ij or
+    A_ji sets gamma_j = gamma_i + 1 when j > i and gamma_i - 1 when j < i,
+    and meeting a visited j at another level proves that no gamma exists.
+    Each search root has level 0.  Integers only, so no tolerance; O(nnz).
+    The tree lists its (parent, child) edges in the order found, so every
+    parent comes before its children.
+    """
+    rows = split.kernel_rows
+    n = len(rows)
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row:
+            if v != 0.0:
+                adjacent[i].append(j)
+                adjacent[j].append(i)
+    gamma: list[int | None] = [None] * n
+    tree: list[tuple[int, int]] = []
+    for root in range(n):
+        if gamma[root] is not None:
+            continue
+        gamma[root] = 0
+        queue = [root]
+        for i in queue:
+            for j in adjacent[i]:
+                level = gamma[i] + (1 if j > i else -1)
+                if gamma[j] is None:
+                    gamma[j] = level
+                    tree.append((i, j))
+                    queue.append(j)
+                elif gamma[j] != level:
+                    return None
+    return gamma, tree
+
+
+def _symmetrisable(split: TriangularSplit, tree) -> bool:
+    """Whether a positive diagonal S makes S A S^-1 symmetric.
+
+    Every nonzero off-diagonal A_ij needs a partner A_ji with
+    A_ij A_ji > 0.  Then S = diag(sqrt(r)) symmetrises A exactly when
+    r_i A_ij = r_j A_ji on every edge.  ``tree`` is a spanning forest of
+    those edges with parents first (``_ordering_search``); it fixes log r
+    from r = 1 at each root, and every other edge closes one cycle whose
+    condition is checked to ``_SYMMETRISE_TOL`` = 1e-10 in
+    |log(r_i A_ij / (r_j A_ji))|, far above the rounding of a log-ratio sum
+    along a tree path and far below the break of a generic cycle.
+    """
+    entry = {
+        (i, j): v for i, row in enumerate(split.kernel_rows) for j, v in row if v != 0.0
+    }
+    log_ratio = {}
+    for (i, j), v in entry.items():
+        back = entry.get((j, i))
+        ratio = 0.0 if back is None else v / back
+        if not (0.0 < ratio < math.inf):
+            return False
+        log_ratio[i, j] = math.log(ratio)
+    log_r = [0.0] * len(split.kernel_rows)
+    for p, c in tree:
+        log_r[c] = log_r[p] + log_ratio[p, c]
+    return all(
+        abs(log_r[i] - log_r[j] + lr) <= _SYMMETRISE_TOL for (i, j), lr in log_ratio.items()
+    )
+
+
 def _candidates(rho_j, rho_g, rho_s, sor_omega):
     # Tie-break preference order: Gauss-Seidel needs no weight, SOR beats
     # Jacobi when their radii agree.
@@ -377,10 +467,11 @@ def _candidates(rho_j, rho_g, rho_s, sor_omega):
 
 
 def _best_method(rho_j, rho_g, rho_s, sor_omega):
+    # A radius within the tie tolerance of 1 is tied with 1: not convergent.
     cands = [
         (m, r)
         for m, r in _candidates(rho_j, rho_g, rho_s, sor_omega)
-        if m is not None and r is not None and r < 1.0
+        if m is not None and r is not None and r < 1.0 - _TIE_TOL
     ]
     if not cands:
         return None
@@ -394,12 +485,18 @@ def _best_method(rho_j, rho_g, rho_s, sor_omega):
 def classify(a: SparseMatrix) -> MatrixProfile:
     """Structure flags plus spectral radii for all three methods.
 
-    For a symmetric tridiagonal matrix with a positive diagonal the radii
-    are closed forms: rho_jacobi by Sturm-count bisection on the scaled
-    matrix D^-1/2 (L + U) D^-1/2, rho_gauss_seidel = rho_jacobi^2, and,
-    when the matrix is positive definite (so rho_jacobi < 1), SOR at the
-    optimal weight with radius omega_star - 1.  No iteration matrix is
-    built for these.
+    rho_jacobi is a closed form for a symmetric tridiagonal matrix with a
+    positive diagonal, by Sturm-count bisection on the scaled matrix
+    D^-1/2 (L + U) D^-1/2, and is measured by power iteration on the
+    dense T_jacobi otherwise.  For a consistently ordered matrix (always so
+    when tridiagonal, otherwise found by ``_ordering_search``)
+    rho_gauss_seidel = rho_jacobi^2 by Young's relation at omega = 1.  When
+    such a matrix also has a positive diagonal, is symmetric or
+    ``_symmetrisable``, and has rho_jacobi < 1, SOR is profiled at the
+    optimal weight omega_star with radius omega_star - 1; a measured
+    rho_jacobi is first raised by its tolerance 1e-10, so that its error
+    cannot put omega_star below the true optimum.  No iteration matrix is
+    built for these closed forms.
 
     Every other radius is measured by power iteration on the dense
     iteration matrix, built as a numpy array (the T of
@@ -407,8 +504,8 @@ def classify(a: SparseMatrix) -> MatrixProfile:
     fixed fallback weight 1.5 with ``omega_star`` left unset.  A
     non-finite entry of T raises ``ValueError``.  Those estimates use a
     tolerance of 1e-10, far below the public default, and
-    ``radii_converged`` records whether they all settled.  A zero diagonal leaves every radius unset and
-    recommends nothing.
+    ``radii_converged`` records whether they all settled.  A zero diagonal
+    leaves every radius unset and recommends nothing.
     """
     flags = structure_flags(a)
     if flags["has_zero_diagonal"]:
@@ -430,16 +527,27 @@ def classify(a: SparseMatrix) -> MatrixProfile:
         return est.rho
 
     diag = split.diag.entries
-    if flags["is_symmetric"] and flags["is_tridiagonal"] and all(d > 0.0 for d in diag):
+    positive = all(d > 0.0 for d in diag)
+    symmetric = flags["is_symmetric"]
+    if symmetric and flags["is_tridiagonal"] and positive:
         lower, _, _ = split.band
         rho_j = _tridiagonal_jacobi_radius(diag, lower[1:])
-        rho_g = rho_j * rho_j
+        rho_up = rho_j
     else:
         rho_j = measured(Method.jacobi())
-        rho_g = measured(Method.gauss_seidel())
-    # Positive definite and tridiagonal implies the closed-form branch above.
-    if flags["is_positive_definite"] and flags["is_tridiagonal"] and rho_j < 1.0:
-        omega_star = optimal_omega(rho_j)
+        # Below the optimum the SOR radius grows like the square root of
+        # the shortfall in omega, above it like omega - 1, so omega_star is
+        # taken from the estimate raised by its tolerance, not from one
+        # that may sit below the true radius.
+        rho_up = rho_j * (1.0 + _CLASSIFY_TOL)
+    # gamma_i = i orders a tridiagonal matrix; a nonsymmetric one still
+    # needs the search tree for ``_symmetrisable``.
+    search = None if flags["is_tridiagonal"] and symmetric else _ordering_search(split)
+    ordered = flags["is_tridiagonal"] or search is not None
+    rho_g = rho_j * rho_j if ordered else measured(Method.gauss_seidel())
+    real_spectrum = ordered and positive and (symmetric or _symmetrisable(split, search[1]))
+    if real_spectrum and rho_up < 1.0:
+        omega_star = optimal_omega(rho_up)
         sor_omega = omega_star
         rho_s = omega_star - 1.0
     else:
@@ -465,7 +573,12 @@ def _sufficient_condition_note(profile: MatrixProfile, method: Method) -> str:
     if method.tag == "gauss-seidel" and profile.is_positive_definite:
         return "the matrix is symmetric positive definite"
     if method.tag == "sor" and profile.omega_star is not None:
-        return "the weight is optimal for this symmetric positive definite tridiagonal matrix"
+        return "the weight is Young's optimum for this consistently ordered matrix"
+    if method.tag == "sor" and profile.is_positive_definite:
+        return (
+            "the matrix is symmetric positive definite, so SOR converges "
+            "for every 0 < omega < 2 (Ostrowski-Reich)"
+        )
     return "no sufficient condition holds; convergent by spectral estimate alone"
 
 
@@ -473,7 +586,8 @@ def select_method(profile: MatrixProfile) -> tuple[Method, str]:
     """The method with the smallest measured radius, with a rationale.
 
     Ties within 1e-9 go to Gauss-Seidel, then SOR, then Jacobi.  Raises
-    ``NoConvergentMethodError`` when no radius is below 1.
+    ``NoConvergentMethodError`` when no radius is below 1 by more than
+    that tolerance.
     """
     if profile.has_zero_diagonal:
         raise NoConvergentMethodError(
@@ -484,7 +598,8 @@ def select_method(profile: MatrixProfile) -> tuple[Method, str]:
     )
     if pick is None:
         raise NoConvergentMethodError(
-            "no convergent stationary method: every spectral radius estimate is at least 1"
+            "no convergent stationary method: "
+            "every spectral radius estimate is 1 or more, to within 1e-9"
         )
     method, rho = pick
     if method.tag == "sor":

@@ -1,15 +1,14 @@
 """Exception types shared across the package.
 
 ``NumericalError`` subclasses signal conditions of the mathematical problem
-itself (singular matrix, divergent iteration, no convergent method); the CLI
-maps them to exit status 2.  Malformed input files raise ``ParseError``,
-which the CLI maps to exit status 1 together with ordinary ``ValueError``
-precondition failures.
+itself (zero diagonal, divergent iteration, no convergent method, unsuitable
+reduction); the CLI maps them to exit status 2.  Malformed input files
+raise ``ParseError``, which the CLI maps to exit status 1 together with
+ordinary ``ValueError`` precondition failures.
 """
 
 __all__ = [
     "NumericalError",
-    "SingularMatrixError",
     "ZeroDiagonalError",
     "DivergenceError",
     "NoConvergentMethodError",
@@ -20,10 +19,6 @@ __all__ = [
 
 class NumericalError(Exception):
     """A mathematically unsolvable or failed computation."""
-
-
-class SingularMatrixError(NumericalError):
-    """Gaussian elimination met a pivot too small to divide by."""
 
 
 class ZeroDiagonalError(NumericalError):

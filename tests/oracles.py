@@ -3,18 +3,24 @@
 Textbook loops on dense rows, kept out of the package because nothing in
 it needs them: Gaussian elimination with back substitution, the exact
 solution iterative results are compared with; the D - L - U recomposition
-that inverts ``split_dlu``; and the dense-to-CSR rule that
-``SparseMatrix.from_rows`` and dense matrix files follow.
+that inverts ``split_dlu``; the dense-to-CSR rule that
+``SparseMatrix.from_rows`` and dense matrix files follow; and Young's
+consistent-ordering test by shortest paths, which the breadth-first search
+in ``classify`` is judged against.
 """
 
 import math
 
 from conftest import to_rows
-from ringsolve import SingularMatrixError, SparseMatrix, TriangularSplit, Vector
+from ringsolve import NumericalError, SparseMatrix, TriangularSplit, Vector
 
 # Elimination stops when a pivot falls below this fraction of the largest
 # magnitude left in the submatrix.
 PIVOT_RTOL = 1e-12
+
+
+class SingularMatrixError(NumericalError):
+    """Gaussian elimination met a pivot too small to divide by."""
 
 
 def csr_from_dense(rows: int, cols: int, entries) -> SparseMatrix:
@@ -97,3 +103,26 @@ def solve_direct(a: SparseMatrix, b: Vector) -> Vector:
     """Gaussian elimination with partial pivoting plus back substitution."""
     u, y = eliminate(a, b, pivot=True)
     return back_substitute(u, y)
+
+
+def consistently_ordered(rows) -> bool:
+    """Whether integer levels gamma exist with gamma_j - gamma_i = +1 for
+    every nonzero off-diagonal A_ij with j > i and -1 with j < i.
+
+    Floyd-Warshall on the dense rows: a step from i to j over a nonzero
+    A_ij or A_ji costs +1 when j > i and -1 when j < i.  The levels exist
+    exactly when every closed walk costs 0, and as a reversed walk costs
+    the negative, exactly when no closed walk is negative.
+    """
+    n = len(rows)
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and (rows[i][j] != 0.0 or rows[j][i] != 0.0):
+                dist[i][j] = 1 if j > i else -1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return all(dist[i][i] >= 0 for i in range(n))

@@ -494,6 +494,21 @@ class TestTopLevel:
         code, _, _ = run(capsys)
         assert code == 1
 
+    def test_in_process_calls_share_no_state(self, capsys, fixtures_dir, sec21):
+        # The parser is built once per process and reused by every call.
+        network = str(fixtures_dir / "fig1.network")
+        closed = run(capsys, "traffic", "solve", network, "--close-exit", "B")
+        assert closed[0] == 0 and "A,F" in closed[1]
+        code, out, err = run(capsys, "traffic", "solve", network)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "fig1_traffic_solve.out").read_text()
+        assert run(capsys, "traffic", "solve", network, "--close-exit", "B") == closed
+        code, out, err = run(capsys, "solve", sec21[0], "--omega")
+        assert code == 1 and out == "" and "usage:" in err
+        code, out, err = run(capsys, "solve", *sec21)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "sec21_solve.out").read_text()
+
     def test_module_entry_point(self, fixtures_dir):
         result = subprocess.run(
             [sys.executable, "-m", "ringsolve", "analyze", str(fixtures_dir / "sec21.mat")],
@@ -512,15 +527,15 @@ class TestGoldenOutput:
     implementation that the CSR core replaced, and the forced-method ones
     by the three separate sweep loops that the one sweep kernel replaced;
     neither storage nor the kernel may change a single printed digit.  The
-    ``convdiff5`` files, a nonsymmetric grid whose radii are all measured
-    by power iteration, were written by the column-by-column substitution
-    that the row-wise ``_iteration_array`` replaced.  The ``poisson10``
-    files, a symmetric positive definite grid that is not tridiagonal, were
-    written by the dense Cholesky loop that the envelope factorization
-    replaced.  The ``ring256`` and ``tri200`` files, tridiagonal systems
-    with at least 128 unknowns, were written when every sweep ran in the
-    Python kernel; they pin the wavefront that now runs the deferred
-    sweeps.  The forced-method ring runs stop at ``--max-iter`` and print
+    ``convdiff5`` (a nonsymmetric grid), ``poisson10`` (a symmetric
+    positive definite grid) and ``tri200`` (a nonsymmetric tridiagonal
+    matrix) files were rewritten when Young's theory gave these
+    consistently ordered, symmetrisable matrices rho_gs = rho_j^2 and SOR
+    at omega*, replacing power-iteration radii and SOR at 1.5.  The
+    ``ring256`` and ``tri200`` files, tridiagonal systems with at least
+    128 unknowns, pin the wavefront that now runs the deferred sweeps; the
+    ``ring256`` ones were written when every sweep ran in the Python
+    kernel.  The forced-method ring runs stop at ``--max-iter`` and print
     the last iterate of the whole stretch; ``tri200`` records a residual
     on every sweep of it.  ``sec21_analyze.out``, the plain profile of the
     only dense fixture, was written while dense files were still parsed

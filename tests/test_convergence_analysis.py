@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import identity, ring_system, to_rows, tridiag
+from oracles import consistently_ordered
 from ringsolve import (
     MatrixProfile,
     Method,
@@ -15,11 +16,14 @@ from ringsolve import (
     SolverConfig,
     SparseMatrix,
     Vector,
+    assemble,
     classify,
     estimate_iterations,
+    gram,
     iteration_matrix,
     optimal_omega,
     parse_matrix,
+    parse_network,
     reduce,
     select_method,
     solve,
@@ -28,7 +32,15 @@ from ringsolve import (
     split_dlu,
     structure_flags,
 )
-from ringsolve import matrix_core
+from ringsolve import convergence_analysis, matrix_core
+from ringsolve.convergence_analysis import (
+    _CLASSIFY_TOL,
+    _MAX_POWER_STEPS,
+    _ordering_search,
+    _power_radius,
+    _symmetrisable,
+)
+from ringsolve.stationary_solvers import _iteration_array
 
 SEC21_ROWS = [[5.0, -2.0, 3.0], [-3.0, 9.0, 1.0], [-2.0, -1.0, -7.0]]
 SEC21 = SparseMatrix.from_rows(SEC21_ROWS)
@@ -707,7 +719,29 @@ class TestSelectMethod:
         method, rationale = select_method(profile)
         assert method.tag == "sor"
         assert f"sor(omega={method.omega:.6f})" in rationale
-        assert "optimal for this symmetric positive definite tridiagonal" in rationale
+        assert "Young's optimum for this consistently ordered matrix" in rationale
+
+    def test_sor_rationale_cites_ostrowski_reich_without_optimal_weight(self):
+        profile = profile_with(
+            0.9, 0.8, 0.5, sor_omega=1.5, is_symmetric=True, is_positive_definite=True
+        )
+        method, rationale = select_method(profile)
+        assert method == Method.sor(1.5)
+        assert "every 0 < omega < 2 (Ostrowski-Reich)" in rationale
+        assert "no sufficient condition" not in rationale
+
+    def test_radius_one_up_to_rounding_is_not_convergent(self, fixtures_dir):
+        # The normal matrix of two disjoint rings with one column dropped:
+        # its null space makes every true radius exactly 1, which rounding
+        # puts at 0.9999999999999999 for SOR.
+        network = parse_network((fixtures_dir / "two_rings.network").read_text())
+        a, _ = assemble(network)
+        kept = SparseMatrix.from_rows([row[:-1] for row in to_rows(a)])
+        profile = classify(gram(kept))
+        assert profile.rho_sor is not None and abs(profile.rho_sor - 1.0) <= 1e-9
+        assert profile.recommendation == "none convergent"
+        with pytest.raises(NoConvergentMethodError, match="1 or more, to within 1e-9"):
+            select_method(profile)
 
 
 class TestMatrixProfileInvariants:
@@ -736,3 +770,276 @@ class TestMatrixProfileInvariants:
                 sor_omega=omega_star,
                 recommendation="none convergent",
             )
+
+
+def five_point(m, coupling, dominance=1.25):
+    """Rows of a 5-point stencil on an m x m grid in natural order:
+    ``coupling(i, j)`` gives A_ij for each grid neighbour j of i, and the
+    diagonal is ``dominance`` times the off-diagonal row sum, so
+    rho_jacobi <= 1 / dominance."""
+    n = m * m
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        r, c = divmod(i, m)
+        for j, inside in ((i - m, r > 0), (i - 1, c > 0), (i + 1, c < m - 1), (i + m, r < m - 1)):
+            if inside:
+                rows[i][j] = coupling(i, j)
+        rows[i][i] = dominance * sum(abs(v) for v in rows[i])
+    return rows
+
+
+def convection_diffusion(m, peclet):
+    """The upwind grids of the benchmark's general-sparse workload: flow
+    along (2, 1) at mesh Peclet number ``peclet``."""
+    px, py = peclet, peclet / 2.0
+    n = m * m
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        r, c = divmod(i, m)
+        rows[i][i] = 4.0 + 2.0 * px + 2.0 * py
+        if r > 0:
+            rows[i][i - m] = -(1.0 + 2.0 * py)
+        if c > 0:
+            rows[i][i - 1] = -(1.0 + 2.0 * px)
+        if c < m - 1:
+            rows[i][i + 1] = -1.0
+        if r < m - 1:
+            rows[i][i + m] = -1.0
+    return rows
+
+
+def permuted(rows, order):
+    """P A P^T: row and column k of the result are ``order[k]`` of A."""
+    return [[rows[i][j] for j in order] for i in order]
+
+
+def red_black(m):
+    """The grid points with r + c even first, then the others."""
+    return sorted(range(m * m), key=lambda i: sum(divmod(i, m)) % 2)
+
+
+def eig_radius(a, method):
+    return float(np.abs(np.linalg.eigvals(_iteration_array(a.split, method))).max())
+
+
+def measured_profile(a):
+    """The three power-loop estimates (Jacobi, Gauss-Seidel, SOR at 1.5)
+    that every matrix got before Young's theory was applied."""
+    return [
+        _power_radius(_iteration_array(a.split, m), _CLASSIFY_TOL, _MAX_POWER_STEPS)
+        for m in (Method.jacobi(), Method.gauss_seidel(), Method.sor(1.5))
+    ]
+
+
+def assert_ordering_search_is_exact(rows):
+    """``_ordering_search`` agrees with the shortest-path oracle, and the
+    levels it returns satisfy the definition entry by entry."""
+    found = _ordering_search(SparseMatrix.from_rows(rows).split)
+    assert (found is not None) == consistently_ordered(rows)
+    if found is not None:
+        gamma, tree = found
+        n = len(rows)
+        for i in range(n):
+            for j in range(n):
+                if i != j and rows[i][j] != 0.0:
+                    assert gamma[j] - gamma[i] == (1 if j > i else -1)
+        # A spanning forest of the coupling graph, parents first.
+        children = [c for _, c in tree]
+        assert len(set(children)) == len(children)
+        seen = set(range(n)) - set(children)
+        for p, c in tree:
+            assert p in seen and (rows[p][c] != 0.0 or rows[c][p] != 0.0)
+            seen.add(c)
+    return found
+
+
+def random_coupling(rng, symmetric):
+    """A coupling function with off-diagonals in [-2, -0.1], drawn once per
+    entry and, when ``symmetric``, shared by A_ij and A_ji."""
+    cache = {}
+
+    def coupling(i, j):
+        key = (min(i, j), max(i, j)) if symmetric else (i, j)
+        if key not in cache:
+            cache[key] = -rng.uniform(0.1, 2.0)
+        return cache[key]
+
+    return coupling
+
+
+@st.composite
+def ordered_matrices(draw, symmetric):
+    """Rows of a consistently ordered matrix: a 5-point grid in natural or
+    red-black order, or a tridiagonal matrix."""
+    coupling = random_coupling(draw(st.randoms(use_true_random=False)), symmetric)
+    dominance = draw(st.floats(min_value=1.02, max_value=3.0))
+    shape = draw(st.sampled_from(["natural", "red-black", "tridiagonal"]))
+    if shape == "tridiagonal":
+        n = draw(st.integers(2, 12))
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n - 1):
+            rows[i][i + 1] = coupling(i, i + 1)
+            rows[i + 1][i] = coupling(i + 1, i)
+        for i in range(n):
+            rows[i][i] = dominance * sum(abs(v) for v in rows[i])
+        return rows
+    m = draw(st.integers(2, 5))
+    rows = five_point(m, coupling, dominance)
+    return rows if shape == "natural" else permuted(rows, red_black(m))
+
+
+class TestYoungTheory:
+    """Consistently ordered matrices: rho_gs = rho_j^2 and, with a real
+    Jacobi spectrum, SOR at omega* with radius omega* - 1."""
+
+    @pytest.mark.parametrize(
+        "name", ["convdiff5", "poisson10", "warm-up grid 4x4", "benchmark grid 18x18"]
+    )
+    def test_radii_match_dense_eigenvalues(self, fixtures_dir, name):
+        if name.endswith("4x4"):
+            a = SparseMatrix.from_rows(convection_diffusion(4, 0.1))
+        elif name.endswith("18x18"):
+            a = SparseMatrix.from_rows(convection_diffusion(18, 0.2))
+        else:
+            a = parse_matrix((fixtures_dir / f"{name}.mat").read_text())
+        profile = classify(a)
+        assert profile.omega_star is not None and profile.radii_converged
+        assert profile.sor_omega == profile.omega_star
+        assert profile.recommendation == Method.sor(profile.omega_star)
+        want_g = eig_radius(a, Method.gauss_seidel())
+        assert abs(profile.rho_gauss_seidel - want_g) <= 1e-9 * want_g
+        # T at omega* has a 2 x 2 Jordan block, which limits eigvals itself.
+        want_s = eig_radius(a, Method.sor(profile.omega_star))
+        assert abs(profile.rho_sor - want_s) <= 1e-6
+
+    def test_tri200_weight_is_at_or_just_past_the_true_optimum(self, fixtures_dir):
+        a = parse_matrix((fixtures_dir / "tri200.mat").read_text())
+        profile = classify(a)
+        assert profile.omega_star is not None and profile.radii_converged
+        want_g = eig_radius(a, Method.gauss_seidel())
+        assert abs(profile.rho_gauss_seidel - want_g) <= 1e-9 * want_g
+        # All 200 eigenvalues of T at omega* lie on one circle of a far
+        # from normal matrix, where eigvals is off by about 2e-4.  The exact
+        # Jacobi radius instead comes from the symmetric tridiagonal matrix
+        # similar to T_jacobi; at or past the optimal weight Young's theory
+        # gives the SOR radius omega - 1 exactly.
+        rows = to_rows(a)
+        n = len(rows)
+        b = np.zeros((n, n))
+        for i in range(n - 1):
+            b[i, i + 1] = b[i + 1, i] = math.sqrt(
+                rows[i][i + 1] * rows[i + 1][i] / (rows[i][i] * rows[i + 1][i + 1])
+            )
+        exact = float(np.linalg.eigvalsh(b).max())
+        assert 0.0 <= profile.omega_star - optimal_omega(exact) <= 1e-8
+        assert profile.rho_sor == profile.omega_star - 1.0
+
+    def test_ring_normal_matrix_runs_no_ordering_search(self, monkeypatch):
+        calls = []
+
+        def counting(split):
+            calls.append(split)
+            return _ordering_search(split)
+
+        monkeypatch.setattr(convergence_analysis, "_ordering_search", counting)
+        classify(reduce(*ring_system([1.0, -1.0] * 16)).normal_matrix)
+        assert calls == []
+        classify(SparseMatrix.from_rows(convection_diffusion(3, 0.1)))
+        assert len(calls) == 1
+
+    def test_broken_cycle_keeps_the_squared_radius_but_no_optimal_weight(self):
+        rows = five_point(3, lambda i, j: -1.0)
+        rows[0][1] *= 1.1
+        a = SparseMatrix.from_rows(rows)
+        assert _ordering_search(a.split) is not None
+        assert not _symmetrisable(a.split, _ordering_search(a.split)[1])
+        profile = classify(a)
+        assert profile.rho_gauss_seidel == profile.rho_jacobi**2
+        assert profile.omega_star is None and profile.sor_omega == 1.5
+        assert abs(profile.rho_gauss_seidel - eig_radius(a, Method.gauss_seidel())) <= 1e-9
+
+    def test_one_sided_coupling_has_no_real_spectrum_certificate(self):
+        # Consistently ordered, but A_21 has no partner A_12.
+        a = SparseMatrix.from_rows([[2.0, 0.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        profile = classify(a)
+        assert profile.rho_gauss_seidel == profile.rho_jacobi**2
+        assert profile.omega_star is None
+
+    @settings(max_examples=30)
+    @given(st.booleans().flatmap(lambda sym: ordered_matrices(sym)))
+    def test_consistently_ordered_property(self, rows):
+        assert assert_ordering_search_is_exact(rows) is not None
+        a = SparseMatrix.from_rows(rows)
+        profile = classify(a)
+        assert profile.rho_gauss_seidel == profile.rho_jacobi**2
+        assert profile.omega_star is not None or not profile.is_symmetric
+        if profile.radii_converged:
+            want_g = eig_radius(a, Method.gauss_seidel())
+            assert abs(profile.rho_gauss_seidel - want_g) <= 1e-9 * max(want_g, 1e-3)
+        if profile.omega_star is not None:
+            want_s = eig_radius(a, Method.sor(profile.omega_star))
+            assert abs(profile.rho_sor - want_s) <= 1e-6
+
+    @settings(max_examples=30)
+    @given(
+        ordered_matrices(symmetric=True),
+        st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=25, max_size=25),
+        st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=25, max_size=25),
+    )
+    def test_symmetrisable_property(self, rows, d1, d2):
+        # D1 S D2 with positive diagonals D1, D2 is symmetrised by
+        # sqrt(D2 / D1) and keeps S's ordering.
+        n = len(rows)
+        rows = [[d1[i] * rows[i][j] * d2[j] for j in range(n)] for i in range(n)]
+        a = SparseMatrix.from_rows(rows)
+        _, tree = assert_ordering_search_is_exact(rows)
+        assert _symmetrisable(a.split, tree)
+        profile = classify(a)
+        assert profile.omega_star is not None
+        want_g = eig_radius(a, Method.gauss_seidel())
+        assert abs(profile.rho_gauss_seidel - want_g) <= 1e-9 * max(want_g, 1e-3)
+        want_s = eig_radius(a, Method.sor(profile.omega_star))
+        assert abs(profile.rho_sor - want_s) <= 1e-6
+
+    # SOR at 1.5 runs to the step limit on most of these, twice per example.
+    @settings(max_examples=8)
+    @given(
+        st.sampled_from(["nine-point", "permuted"]),
+        st.integers(3, 4),
+        st.randoms(use_true_random=False),
+        st.floats(min_value=1.02, max_value=3.0),
+    )
+    def test_rejected_matrices_keep_the_measured_profile_property(self, shape, m, rng, dominance):
+        coupling = random_coupling(rng, symmetric=True)
+        n = m * m
+        if shape == "nine-point":
+            rows = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                r, c = divmod(i, m)
+                for j in range(n):
+                    s, t = divmod(j, m)
+                    if j != i and abs(r - s) <= 1 and abs(c - t) <= 1:
+                        rows[i][j] = coupling(i, j)
+                rows[i][i] = dominance * sum(abs(v) for v in rows[i])
+        else:
+            order = list(range(n))
+            rng.shuffle(order)
+            rows = permuted(five_point(m, coupling, dominance), order)
+        if assert_ordering_search_is_exact(rows) is not None:
+            return
+        self.assert_measured_profile(SparseMatrix.from_rows(rows))
+
+    def test_sec21_keeps_the_measured_profile(self):
+        assert _ordering_search(SEC21.split) is None
+        assert not consistently_ordered(SEC21_ROWS)
+        self.assert_measured_profile(SEC21)
+
+    @staticmethod
+    def assert_measured_profile(a):
+        profile = classify(a)
+        jacobi, gauss_seidel, sor = measured_profile(a)
+        assert profile.rho_jacobi == jacobi.rho
+        assert profile.rho_gauss_seidel == gauss_seidel.rho
+        assert profile.rho_sor == sor.rho
+        assert profile.omega_star is None and profile.sor_omega == 1.5
+        assert profile.radii_converged == (jacobi.converged and gauss_seidel.converged and sor.converged)

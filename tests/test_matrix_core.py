@@ -9,9 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bits, from_flat, identity, ring_matrix, to_rows, tridiag, vec_bits
-from oracles import back_substitute, csr_from_dense, eliminate, recompose, solve_direct
-from ringsolve import (
+from oracles import (
     SingularMatrixError,
+    back_substitute,
+    csr_from_dense,
+    eliminate,
+    recompose,
+    solve_direct,
+)
+from ringsolve import (
     SparseMatrix,
     TriangularSplit,
     Vector,

@@ -530,19 +530,22 @@ class TestSolve:
 
     def test_methods_whose_first_iterate_diverges_are_left_out_of_the_counts(self):
         # T_jacobi has eigenvalues +-1/2, yet the first iterates of Jacobi
-        # (x1 = b) and of SOR at 1.5 pass 1e150; Gauss-Seidel's second
-        # entry cancels to 0 exactly.
+        # (x1 = b) and of SOR at its optimal weight 1.0718 pass 1e150;
+        # Gauss-Seidel's second entry cancels to 0 exactly.  The matrix is
+        # consistently ordered and symmetrisable, so SOR is recommended.
         a = SparseMatrix.from_rows([[1.0, 2.0**-172], [2.0**170, 1.0]])
         b = Vector((2.0**490, 2.0**660))
         profile = classify(a)
-        assert profile.recommendation == Method.gauss_seidel()
+        assert profile.recommendation == Method.sor(profile.omega_star)
         assert 0.0 < profile.rho_jacobi < 1.0 and 0.0 < profile.rho_sor < 1.0
-        report = solve(a, b, SolverConfig(method=profile.recommendation, eta=1e-3), profile)
+        config = SolverConfig(method=Method.gauss_seidel(), eta=1e-3)
+        report = solve(a, b, config, profile)
         assert report.converged
         assert report.iterations_run == report.predicted_iterations == 336
         assert report.predicted_counts == {"gauss-seidel": 336}
-        with pytest.raises(DivergenceError, match=r"^iterate diverged at iteration 1$"):
-            solve(a, b, SolverConfig(method=Method.jacobi(), eta=1e-3), profile)
+        for method in (Method.jacobi(), profile.recommendation):
+            with pytest.raises(DivergenceError, match=r"^iterate diverged at iteration 1$"):
+                solve(a, b, SolverConfig(method=method, eta=1e-3), profile)
 
     def test_sor_radius_used_only_when_weights_match(self):
         profile = fake_profile(rho_s=0.5, sor_omega=1.5)
