@@ -670,6 +670,11 @@ class TestGoldenOutput:
         assert code == 0 and err == ""
         assert out == (GOLDEN / "tri200_analyze.json").read_text()
 
+    def test_nine_point_grid_analyze_json(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "analyze", "--json", str(fixtures_dir / "ninept4.mat"))
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / "ninept4_analyze.json").read_text()
+
     def test_large_tridiagonal_solve_and_history(self, capsys, fixtures_dir, tmp_path):
         history = tmp_path / "history.csv"
         matrix, rhs = fixtures_dir / "tri200.mat", fixtures_dir / "tri200.rhs"
