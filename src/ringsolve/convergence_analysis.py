@@ -14,22 +14,28 @@ omega* - 1, and Young's formula gives the radius at any other weight
 positive diagonal, or by a positive diagonal scaling that symmetrises a
 matrix with a positive diagonal.
 
-rho_j itself is exact for a symmetric tridiagonal matrix with a positive
-diagonal: the largest eigenvalue of D^-1/2 (L + U) D^-1/2, found by
-Sturm-count bisection in O(n) per step.  Every other radius is estimated
-by power iteration: repeated application of T to a fixed seed vector with
-renormalization after every step.  T is built as a dense numpy array by
-forward substitution on whole rows and handed to the power loop directly;
-``iteration_matrix`` returns the same T in CSR form, bit for bit.  At the
-sizes this library targets (a few hundred unknowns) one dense product
-costs far less than applying T as a sweep in Python, and the loop needs
-hundreds to thousands of products.  The growth factors are averaged
-geometrically over a trailing window of 32 steps, which makes the
-estimate insensitive to dominant eigenvalues that come in +/- pairs or
-complex-conjugate pairs; a plain Rayleigh or single-step ratio oscillates
-in those cases and never settles.  A matrix that is not consistently
-ordered has its Gauss-Seidel radius measured, and one without a certified
-omega* has SOR measured at the fixed fallback weight 1.5.
+Each radius has one source.  rho_j is exact for a symmetric tridiagonal
+matrix with a positive diagonal: the largest eigenvalue of
+D^-1/2 (L + U) D^-1/2, found by Sturm-count bisection in O(n) per step.
+Where the Jacobi spectrum is otherwise certified real, T_jacobi is
+similar to the symmetric matrix B_ij = sign(T_ij) sqrt(T_ij T_ji), and a
+Lanczos iteration on B finds rho_j in O(nnz) per step from the stored
+entries alone (``_lanczos_radius``).  Young's relations then give rho_gs
+and, with omega*, rho_sor.  What is left goes to power iteration on the
+dense iteration matrix: rho_j of a matrix without a certificate, rho_gs of
+one that is not consistently ordered, and rho_sor at the fixed fallback
+weight 1.5 wherever omega* is not certified.  T is built as a dense numpy
+array by forward substitution on whole rows (``_iteration_array``), the
+T that ``iteration_matrix`` returns in CSR form, bit for bit.  Each power
+step applies it to the iterate and renormalizes, from a fixed seed.
+Growth factors are averaged geometrically over a trailing window of 32
+steps, which settles when the dominant eigenvalues are a +/- pair, where a
+single-step ratio oscillates forever.  It does not settle on a
+complex-conjugate pair of a matrix that is not normal: the growth factors
+then oscillate with the pair's argument, and a 32-step window averages
+them out only when 32 steps span whole turns.  SOR at 1.5 on the 3 x 3
+matrix of ``fixtures/sec21.mat`` runs all 50 000 steps and reports
+0.50133 against a true 0.50331, with ``converged`` False.
 
 Classification checks each method's sufficient condition (diagonal
 dominance for Jacobi, symmetric positive definite for Gauss-Seidel, the
@@ -44,6 +50,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +89,10 @@ _FALLBACK_OMEGA = 1.5
 # Radii this close together are treated as tied during method selection,
 # and a radius this close to 1 counts as 1.
 _TIE_TOL = 1e-9
+# Lanczos checks its top Ritz value every this many steps, and stops at
+# this dimension when it is below n.
+_LANCZOS_CHECK = 8
+_LANCZOS_MAX_DIM = 500
 # Largest |log| of the ratio r_i A_ij / (r_j A_ji) that ``_symmetrisable``
 # accepts on an edge outside the search tree, about a relative error.
 _SYMMETRISE_TOL = 1e-10
@@ -109,8 +121,11 @@ class MatrixProfile:
     ``omega_star is None`` with ``rho_sor`` present flags a non-optimal
     fallback profile.  A priori iteration counts need a right-hand side,
     so they live in ``SolveReport.predicted_counts``, not here.
-    ``radii_converged`` is False when any radius came from a power
-    iteration that ran out of steps before its estimate settled.
+    ``radii_converged`` is False when a radius came from a power
+    iteration that ran out of steps before its estimate settled, or from
+    a Lanczos run that reached its dimension cap before its Ritz value
+    settled; radii from Sturm bisection and Young's relations count as
+    settled.
     """
 
     is_symmetric: bool
@@ -147,9 +162,13 @@ def spectral_radius(
     mean of the last 32 growth factors.  The run stops once the estimate
     agrees with its value from 32 steps earlier, to within
     ``tol * max(1, rho)``, for 8 consecutive steps.  Exhausting
-    ``max_steps`` returns the last estimate with ``converged=False``;
-    that happens for defective dominant eigenvalues, whose growth factors
-    approach the radius only like 1 + O(1/k).
+    ``max_steps`` returns the last estimate with ``converged=False``.
+    That happens for defective dominant eigenvalues, whose growth factors
+    approach the radius only like 1 + O(1/k), and for a dominant
+    complex-conjugate pair of a matrix that is not normal, whose growth
+    factors oscillate with the pair's argument; the window averages them
+    out only when 32 steps span whole turns, so the last estimate may be
+    off in the third digit.
     """
     n = _require_square(t)
     if not (tol > 0.0):
@@ -162,13 +181,22 @@ def spectral_radius(
     return _power_radius(mat, tol, max_steps)
 
 
+def _seed(n: int) -> np.ndarray:
+    """The deterministic unit start vector of every iteration here: entry i
+    is 1 + 1e-3 * i with the sign of the perturbation alternating."""
+    v = np.array([1.0 + 1e-3 * i * (-1.0) ** i for i in range(n)], dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
 def _power_radius(mat: np.ndarray, tol: float, max_steps: int) -> SpectralEstimate:
-    """The power iteration of ``spectral_radius`` on a square array."""
+    """The power iteration of ``spectral_radius`` on a square array.
+
+    The 32-step window settles on a dominant +/- pair; it need not settle
+    on a complex-conjugate pair (see ``spectral_radius``).
+    """
     if not mat.any():
         return SpectralEstimate(0.0, 0, True, tol)
-    n = mat.shape[0]
-    v = np.array([1.0 + 1e-3 * i * (-1.0) ** i for i in range(n)], dtype=np.float64)
-    v /= np.linalg.norm(v)
+    v = _seed(mat.shape[0])
 
     logs: deque[float] = deque(maxlen=_WINDOW)
     ests: deque[float] = deque(maxlen=_WINDOW + 1)
@@ -426,7 +454,33 @@ def _ordering_search(split: TriangularSplit):
     return gamma, tree
 
 
-def _symmetrisable(split: TriangularSplit, tree) -> bool:
+class _Couplings(NamedTuple):
+    """The nonzero stored off-diagonals of an n x n matrix A in row-major
+    order: row i, column j and kernel value -A_ij of each, and the position
+    of its transpose entry (j, i), or -1 when A_ji is zero or not stored."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    partner: np.ndarray
+
+
+def _couplings(split: TriangularSplit) -> _Couplings:
+    """The ``_Couplings`` of a split, read from its kernel rows."""
+    kernel = split.kernel_rows
+    n = len(kernel)
+    rows = np.repeat(np.arange(n), [len(row) for row in kernel])
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(kernel)), np.float64, 2 * len(rows))
+    keep = flat[1::2] != 0.0
+    rows, cols, values = rows[keep], flat[0::2][keep].astype(np.intp), flat[1::2][keep]
+    keys = rows * n + cols
+    back = cols * n + rows
+    pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+    return _Couplings(n, rows, cols, values, np.where(keys[pos] == back, pos, -1))
+
+
+def _symmetrisable(couplings: _Couplings, tree) -> bool:
     """Whether a positive diagonal S makes S A S^-1 symmetric.
 
     Every nonzero off-diagonal A_ij needs a partner A_ji with
@@ -438,22 +492,94 @@ def _symmetrisable(split: TriangularSplit, tree) -> bool:
     |log(r_i A_ij / (r_j A_ji))|, far above the rounding of a log-ratio sum
     along a tree path and far below the break of a generic cycle.
     """
-    entry = {
-        (i, j): v for i, row in enumerate(split.kernel_rows) for j, v in row if v != 0.0
-    }
-    log_ratio = {}
-    for (i, j), v in entry.items():
-        back = entry.get((j, i))
-        ratio = 0.0 if back is None else v / back
-        if not (0.0 < ratio < math.inf):
-            return False
-        log_ratio[i, j] = math.log(ratio)
-    log_r = [0.0] * len(split.kernel_rows)
-    for p, c in tree:
-        log_r[c] = log_r[p] + log_ratio[p, c]
-    return all(
-        abs(log_r[i] - log_r[j] + lr) <= _SYMMETRISE_TOL for (i, j), lr in log_ratio.items()
-    )
+    n, rows, cols, values, partner = couplings
+    if (partner < 0).any():
+        return False
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = values / values[partner]
+    if not ((ratio > 0.0) & (ratio < math.inf)).all():
+        return False
+    log_ratio = np.log(ratio)
+    keys = rows * n + cols
+    edges = np.searchsorted(keys, [p * n + c for p, c in tree])
+    log_r = [0.0] * n
+    for (p, c), lr in zip(tree, log_ratio[edges].tolist()):
+        log_r[c] = log_r[p] + lr
+    log_r = np.array(log_r)
+    return bool((np.abs(log_r[rows] - log_r[cols] + log_ratio) <= _SYMMETRISE_TOL).all())
+
+
+def _lanczos_radius(diag, couplings: _Couplings, tol: float, max_dim: int) -> SpectralEstimate:
+    """rho_j of a matrix whose Jacobi spectrum is certified real, by Lanczos.
+
+    T = D^-1 (L + U) is similar to the symmetric matrix B with
+    B_ij = sign(T_ij) sqrt(T_ij T_ji) when A is symmetric or symmetrised by
+    a positive diagonal scaling, and has a positive diagonal.  Every entry
+    of T is checked finite first, and a non-finite one raises the
+    ``ValueError`` of ``_iteration_array`` with T's row-major index.  B is
+    formed as sign(T_ij) sqrt|T_ij| sqrt|T_ji|, so B_ij and B_ji are the
+    same double, and scaled by a power of two so that max |B_ij| lies in
+    [0.5, 1), where no product overflows.  It is applied from its stored
+    entries, one ``np.bincount`` per step, and no n x n array is built.
+    Lanczos runs from the seed of ``_power_radius`` with full
+    reorthogonalisation, applied twice, and its basis grows by doubling,
+    only as far as the steps taken.
+
+    Every ``_LANCZOS_CHECK`` = 8 steps, at the last step and wherever the
+    Krylov space closes (beta_k = 0), the small tridiagonal is
+    diagonalised (``np.linalg.eigh``); its top |Ritz value| theta is the
+    estimate.  The run stops when the residual bound beta_k |s_k|, with
+    s_k the last entry of theta's Ritz vector, is at most ``tol * theta``,
+    which puts an eigenvalue within that distance of theta, or when theta
+    repeats the previous check's value to within ``tol * theta``.  A
+    Ritz value never exceeds the extreme eigenvalues, so the estimate
+    approaches rho_j from below.  A run that reaches ``max_dim`` steps
+    short of n without stopping returns its last estimate with
+    ``converged=False``; n steps span the whole space, where the residual
+    is rounding.
+    """
+    n, rows, cols, values, partner = couplings
+    d = np.array(diag, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = values / d[rows]
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"matrix entry {int(rows[k]) * n + int(cols[k])} is not finite: {float(t[k])!r}"
+        )
+    b = np.copysign(np.sqrt(np.abs(t)) * np.sqrt(np.abs(t[partner])), t)
+    if not b.any():
+        return SpectralEstimate(0.0, 0, True, tol)
+    _, scale = math.frexp(float(np.abs(b).max()))
+    b = np.ldexp(b, -scale)
+    dim = min(n, max_dim)
+    basis = np.empty((min(dim, _LANCZOS_CHECK), n))
+    basis[0] = _seed(n)
+    alpha: list[float] = []
+    beta: list[float] = []
+    last = math.nan
+    for k in range(1, dim + 1):
+        q = basis[k - 1]
+        w = np.bincount(rows, weights=b * q[cols], minlength=n)
+        alpha.append(float(q @ w))
+        span = basis[:k]
+        w -= (span @ w) @ span
+        w -= (span @ w) @ span
+        norm = math.sqrt(w @ w)
+        if k % _LANCZOS_CHECK == 0 or k == dim or norm == 0.0:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            top = 0 if -theta[0] > theta[-1] else k - 1
+            rho = abs(float(theta[top]))
+            r = norm * abs(float(s[-1, top]))
+            converged = r <= tol * rho or abs(rho - last) <= tol * rho
+            last = rho
+            if converged or k == dim:
+                return SpectralEstimate(math.ldexp(rho, scale), k, converged, tol)
+        beta.append(norm)
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, dim - k), n))])
+        basis[k] = w / norm
 
 
 def _candidates(rho_j, rho_g, rho_s, sor_omega):
@@ -485,27 +611,31 @@ def _best_method(rho_j, rho_g, rho_s, sor_omega):
 def classify(a: SparseMatrix) -> MatrixProfile:
     """Structure flags plus spectral radii for all three methods.
 
-    rho_jacobi is a closed form for a symmetric tridiagonal matrix with a
-    positive diagonal, by Sturm-count bisection on the scaled matrix
-    D^-1/2 (L + U) D^-1/2, and is measured by power iteration on the
-    dense T_jacobi otherwise.  For a consistently ordered matrix (always so
-    when tridiagonal, otherwise found by ``_ordering_search``)
-    rho_gauss_seidel = rho_jacobi^2 by Young's relation at omega = 1.  When
-    such a matrix also has a positive diagonal, is symmetric or
-    ``_symmetrisable``, and has rho_jacobi < 1, SOR is profiled at the
-    optimal weight omega_star with radius omega_star - 1; a measured
-    rho_jacobi is first raised by its tolerance 1e-10, so that its error
-    cannot put omega_star below the true optimum.  No iteration matrix is
-    built for these closed forms.
+    rho_jacobi comes from Sturm-count bisection on D^-1/2 (L + U) D^-1/2
+    for a symmetric tridiagonal matrix with a positive diagonal.  Any other
+    matrix with a positive diagonal whose Jacobi spectrum is certified
+    real, by symmetry or by being consistently ordered and
+    ``_symmetrisable``, gets it from ``_lanczos_radius`` on the
+    symmetrised T_jacobi, which builds no n x n array.  The ordering search
+    and the symmetrisability test therefore run first.  For a consistently
+    ordered matrix (always so when tridiagonal, otherwise found by
+    ``_ordering_search``) rho_gauss_seidel = rho_jacobi^2 by Young's
+    relation at omega = 1.  When such a matrix also has a certified real
+    Jacobi spectrum and rho_jacobi < 1, SOR is profiled at the optimal
+    weight omega_star with radius omega_star - 1.  A Lanczos rho_jacobi
+    approaches the truth from below; it is raised by its tolerance 1e-10
+    before omega_star is taken from it, so that its error cannot put
+    omega_star below the true optimum.
 
     Every other radius is measured by power iteration on the dense
     iteration matrix, built as a numpy array (the T of
     ``iteration_matrix``, without its CSR wrapper), SOR at the
-    fixed fallback weight 1.5 with ``omega_star`` left unset.  A
-    non-finite entry of T raises ``ValueError``.  Those estimates use a
-    tolerance of 1e-10, far below the public default, and
-    ``radii_converged`` records whether they all settled.  A zero diagonal
-    leaves every radius unset and recommends nothing.
+    fixed fallback weight 1.5 with ``omega_star`` left unset.  Both
+    Lanczos and power iteration raise ``ValueError`` on a non-finite entry
+    of T, naming its row-major index.  They use a tolerance of 1e-10, far
+    below the public default, and ``radii_converged`` records whether they
+    all settled.  A zero diagonal leaves every radius unset and recommends
+    nothing.
     """
     flags = structure_flags(a)
     if flags["has_zero_diagonal"]:
@@ -529,24 +659,34 @@ def classify(a: SparseMatrix) -> MatrixProfile:
     diag = split.diag.entries
     positive = all(d > 0.0 for d in diag)
     symmetric = flags["is_symmetric"]
-    if symmetric and flags["is_tridiagonal"] and positive:
+    tridiagonal = flags["is_tridiagonal"]
+    # gamma_i = i orders a tridiagonal matrix; a nonsymmetric one still
+    # needs the search tree for ``_symmetrisable``.
+    search = None if tridiagonal and symmetric else _ordering_search(split)
+    ordered = tridiagonal or search is not None
+    if symmetric and tridiagonal and positive:
         lower, _, _ = split.band
         rho_j = _tridiagonal_jacobi_radius(diag, lower[1:])
         rho_up = rho_j
+        real_spectrum = True
     else:
-        rho_j = measured(Method.jacobi())
+        couplings = _couplings(split) if positive and (symmetric or ordered) else None
+        real_spectrum = couplings is not None and (
+            symmetric or _symmetrisable(couplings, search[1])
+        )
+        if real_spectrum:
+            est = _lanczos_radius(diag, couplings, _CLASSIFY_TOL, _LANCZOS_MAX_DIM)
+            estimates.append(est)
+            rho_j = est.rho
+        else:
+            rho_j = measured(Method.jacobi())
         # Below the optimum the SOR radius grows like the square root of
         # the shortfall in omega, above it like omega - 1, so omega_star is
         # taken from the estimate raised by its tolerance, not from one
         # that may sit below the true radius.
         rho_up = rho_j * (1.0 + _CLASSIFY_TOL)
-    # gamma_i = i orders a tridiagonal matrix; a nonsymmetric one still
-    # needs the search tree for ``_symmetrisable``.
-    search = None if flags["is_tridiagonal"] and symmetric else _ordering_search(split)
-    ordered = flags["is_tridiagonal"] or search is not None
     rho_g = rho_j * rho_j if ordered else measured(Method.gauss_seidel())
-    real_spectrum = ordered and positive and (symmetric or _symmetrisable(split, search[1]))
-    if real_spectrum and rho_up < 1.0:
+    if ordered and real_spectrum and rho_up < 1.0:
         omega_star = optimal_omega(rho_up)
         sor_omega = omega_star
         rho_s = omega_star - 1.0

@@ -531,7 +531,13 @@ class TestGoldenOutput:
     positive definite grid) and ``tri200`` (a nonsymmetric tridiagonal
     matrix) files were rewritten when Young's theory gave these
     consistently ordered, symmetrisable matrices rho_gs = rho_j^2 and SOR
-    at omega*, replacing power-iteration radii and SOR at 1.5.  The
+    at omega*, replacing power-iteration radii and SOR at 1.5, and again
+    when their rho_j moved from the power loop to Lanczos on the
+    symmetrised Jacobi matrix.  ``ninept4`` (a symmetric 9-point grid
+    that is not consistently ordered) was recorded before that move and
+    kept every byte through it: Lanczos gives its rho_j to the same
+    double, and its Gauss-Seidel and SOR radii still come from the power
+    loop.  The
     ``ring256`` and ``tri200`` files, tridiagonal systems with at least
     128 unknowns, pin the wavefront that now runs the deferred sweeps; the
     ``ring256`` ones were written when every sweep ran in the Python

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import identity, ring_system, to_rows, tridiag
@@ -35,7 +35,10 @@ from ringsolve import (
 from ringsolve import convergence_analysis, matrix_core
 from ringsolve.convergence_analysis import (
     _CLASSIFY_TOL,
+    _LANCZOS_MAX_DIM,
     _MAX_POWER_STEPS,
+    _couplings,
+    _lanczos_radius,
     _ordering_search,
     _power_radius,
     _symmetrisable,
@@ -788,6 +791,21 @@ def five_point(m, coupling, dominance=1.25):
     return rows
 
 
+def nine_point(m, coupling, dominance=1.25):
+    """Rows of a 9-point stencil on an m x m grid in natural order, built
+    like ``five_point``; not consistently ordered once m >= 2."""
+    n = m * m
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        r, c = divmod(i, m)
+        for j in range(n):
+            s, t = divmod(j, m)
+            if j != i and abs(r - s) <= 1 and abs(c - t) <= 1:
+                rows[i][j] = coupling(i, j)
+        rows[i][i] = dominance * sum(abs(v) for v in rows[i])
+    return rows
+
+
 def convection_diffusion(m, peclet):
     """The upwind grids of the benchmark's general-sparse workload: flow
     along (2, 1) at mesh Peclet number ``peclet``."""
@@ -822,6 +840,18 @@ def eig_radius(a, method):
     return float(np.abs(np.linalg.eigvals(_iteration_array(a.split, method))).max())
 
 
+def symmetrised_radius(a):
+    """max |eigvalsh| of the dense B_ij = sign(T_ij) sqrt(T_ij T_ji), which
+    is similar to T_jacobi when its spectrum is certified real."""
+    t = _iteration_array(a.split, Method.jacobi())
+    b = np.sign(t) * np.sqrt(t * t.T)
+    return float(np.abs(np.linalg.eigvalsh(b)).max())
+
+
+def lanczos(a):
+    return _lanczos_radius(a.split.diag.entries, _couplings(a.split), _CLASSIFY_TOL, _LANCZOS_MAX_DIM)
+
+
 def measured_profile(a):
     """The three power-loop estimates (Jacobi, Gauss-Seidel, SOR at 1.5)
     that every matrix got before Young's theory was applied."""
@@ -853,15 +883,17 @@ def assert_ordering_search_is_exact(rows):
     return found
 
 
-def random_coupling(rng, symmetric):
-    """A coupling function with off-diagonals in [-2, -0.1], drawn once per
-    entry and, when ``symmetric``, shared by A_ij and A_ji."""
+def random_coupling(rng, symmetric, signed=False):
+    """A coupling function with off-diagonals in [-2, -0.1], or with either
+    sign when ``signed``, drawn once per entry and, when ``symmetric``,
+    shared by A_ij and A_ji."""
     cache = {}
 
     def coupling(i, j):
         key = (min(i, j), max(i, j)) if symmetric else (i, j)
         if key not in cache:
-            cache[key] = -rng.uniform(0.1, 2.0)
+            sign = rng.choice((-1.0, 1.0)) if signed else -1.0
+            cache[key] = sign * rng.uniform(0.1, 2.0)
         return cache[key]
 
     return coupling
@@ -947,12 +979,31 @@ class TestYoungTheory:
         classify(SparseMatrix.from_rows(convection_diffusion(3, 0.1)))
         assert len(calls) == 1
 
+    def test_certified_matrices_build_no_jacobi_iteration_array(self, fixtures_dir, monkeypatch):
+        built = []
+
+        def counting(split, method):
+            built.append(method.tag)
+            return _iteration_array(split, method)
+
+        monkeypatch.setattr(convergence_analysis, "_iteration_array", counting)
+        # Consistently ordered and symmetrisable: no iteration matrix at all.
+        classify(SparseMatrix.from_rows(convection_diffusion(6, 0.2)))
+        assert built == []
+        # Symmetric but not consistently ordered: Lanczos for Jacobi, the
+        # power loops for Gauss-Seidel and SOR.
+        classify(parse_matrix((fixtures_dir / "ninept4.mat").read_text()))
+        assert built == ["gauss-seidel", "sor"]
+        built.clear()
+        classify(SEC21)
+        assert built == ["jacobi", "gauss-seidel", "sor"]
+
     def test_broken_cycle_keeps_the_squared_radius_but_no_optimal_weight(self):
         rows = five_point(3, lambda i, j: -1.0)
         rows[0][1] *= 1.1
         a = SparseMatrix.from_rows(rows)
         assert _ordering_search(a.split) is not None
-        assert not _symmetrisable(a.split, _ordering_search(a.split)[1])
+        assert not _symmetrisable(_couplings(a.split), _ordering_search(a.split)[1])
         profile = classify(a)
         assert profile.rho_gauss_seidel == profile.rho_jacobi**2
         assert profile.omega_star is None and profile.sor_omega == 1.5
@@ -993,7 +1044,7 @@ class TestYoungTheory:
         rows = [[d1[i] * rows[i][j] * d2[j] for j in range(n)] for i in range(n)]
         a = SparseMatrix.from_rows(rows)
         _, tree = assert_ordering_search_is_exact(rows)
-        assert _symmetrisable(a.split, tree)
+        assert _symmetrisable(_couplings(a.split), tree)
         profile = classify(a)
         assert profile.omega_star is not None
         want_g = eig_radius(a, Method.gauss_seidel())
@@ -1013,14 +1064,7 @@ class TestYoungTheory:
         coupling = random_coupling(rng, symmetric=True)
         n = m * m
         if shape == "nine-point":
-            rows = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                r, c = divmod(i, m)
-                for j in range(n):
-                    s, t = divmod(j, m)
-                    if j != i and abs(r - s) <= 1 and abs(c - t) <= 1:
-                        rows[i][j] = coupling(i, j)
-                rows[i][i] = dominance * sum(abs(v) for v in rows[i])
+            rows = nine_point(m, coupling, dominance)
         else:
             order = list(range(n))
             rng.shuffle(order)
@@ -1036,10 +1080,88 @@ class TestYoungTheory:
 
     @staticmethod
     def assert_measured_profile(a):
+        """Gauss-Seidel and SOR at 1.5 come from the power loops bit for
+        bit.  rho_jacobi does too unless the matrix is symmetric with a
+        positive diagonal, which certifies its Jacobi spectrum real: then
+        it is the Lanczos estimate, checked against eigvalsh."""
         profile = classify(a)
         jacobi, gauss_seidel, sor = measured_profile(a)
+        if profile.is_symmetric and all(d > 0.0 for d in a.split.diag.entries):
+            jacobi = lanczos(a)
+            want = symmetrised_radius(a)
+            assert abs(jacobi.rho - want) <= _CLASSIFY_TOL * want
         assert profile.rho_jacobi == jacobi.rho
         assert profile.rho_gauss_seidel == gauss_seidel.rho
         assert profile.rho_sor == sor.rho
         assert profile.omega_star is None and profile.sor_omega == 1.5
         assert profile.radii_converged == (jacobi.converged and gauss_seidel.converged and sor.converged)
+
+
+@st.composite
+def certified_matrices(draw):
+    """Rows of a matrix with a positive diagonal whose Jacobi spectrum is
+    certified real: symmetric 5-point grids in natural or random order,
+    symmetric 9-point grids, D1 S D2 scalings of a 5-point grid, two
+    disconnected grids, and matrices with no off-diagonal at all.  The
+    couplings are all negative or of either sign."""
+    rng = draw(st.randoms(use_true_random=False))
+    signed = draw(st.booleans())
+    coupling = random_coupling(rng, symmetric=True, signed=signed)
+    dominance = draw(st.floats(min_value=1.0, max_value=3.0))
+    m = draw(st.integers(2, 5))
+    kind = draw(
+        st.sampled_from(["natural", "permuted", "nine-point", "scaled", "blocks", "diagonal"])
+    )
+    if kind == "diagonal":
+        n = draw(st.integers(1, 6))
+        return [[rng.uniform(0.5, 2.0) if i == j else 0.0 for j in range(n)] for i in range(n)]
+    if kind == "nine-point":
+        return nine_point(m, coupling, dominance)
+    rows = five_point(m, coupling, dominance)
+    n = m * m
+    if kind == "permuted":
+        order = list(range(n))
+        rng.shuffle(order)
+        return permuted(rows, order)
+    if kind == "scaled":
+        d1 = [rng.uniform(0.5, 2.0) for _ in range(n)]
+        d2 = [rng.uniform(0.5, 2.0) for _ in range(n)]
+        return [[d1[i] * rows[i][j] * d2[j] for j in range(n)] for i in range(n)]
+    if kind == "blocks":
+        other = nine_point(draw(st.integers(2, 4)), random_coupling(rng, True, signed))
+        k = len(other)
+        return [r + [0.0] * k for r in rows] + [[0.0] * n + r for r in other]
+    return rows
+
+
+class TestLanczosRadius:
+    """rho_jacobi by Lanczos on the symmetrised Jacobi matrix."""
+
+    @settings(max_examples=60)
+    @given(certified_matrices())
+    @example([[3.0]])
+    def test_matches_dense_eigenvalues_property(self, rows):
+        a = SparseMatrix.from_rows(rows)
+        est = lanczos(a)
+        assert est == lanczos(a)
+        if all(v == 0.0 for i, r in enumerate(rows) for j, v in enumerate(r) if i != j):
+            assert (est.rho, est.iterations_used, est.converged) == (0.0, 0, True)
+            assert math.copysign(1.0, est.rho) == 1.0
+            return
+        assert est.converged
+        for want in (symmetrised_radius(a), eig_radius(a, Method.jacobi())):
+            assert abs(est.rho - want) <= _CLASSIFY_TOL * want
+            # The raise classify applies before omega_star.
+            assert est.rho * (1.0 + _CLASSIFY_TOL) >= want
+
+    def test_cap_short_of_n_is_unconverged(self):
+        a = SparseMatrix.from_rows(five_point(6, lambda i, j: -1.0))
+        est = _lanczos_radius(a.split.diag.entries, _couplings(a.split), _CLASSIFY_TOL, 4)
+        assert est.iterations_used == 4 and not est.converged
+        assert est.rho < symmetrised_radius(a)
+
+    def test_unconverged_lanczos_clears_radii_converged(self, monkeypatch):
+        monkeypatch.setattr(convergence_analysis, "_LANCZOS_MAX_DIM", 4)
+        profile = classify(SparseMatrix.from_rows(five_point(6, lambda i, j: -1.0)))
+        assert not profile.radii_converged
+        assert profile.omega_star is not None
