@@ -849,7 +849,8 @@ def symmetrised_radius(a):
 
 
 def lanczos(a):
-    return _lanczos_radius(a.split.diag.entries, _couplings(a.split), _CLASSIFY_TOL, _LANCZOS_MAX_DIM)
+    split = a.split
+    return _lanczos_radius(split.diag.entries, _couplings(split), _CLASSIFY_TOL, _LANCZOS_MAX_DIM)
 
 
 def measured_profile(a):
