@@ -381,15 +381,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _forced_method(name: str, omega: float | None, profile) -> Method:
+def _forced_method(name: str, omega: float | None) -> Method | None:
+    """The method ``--method`` names, or None for 'auto' and for a bare
+    '--method sor', whose weight comes from the profile.  An out-of-range
+    ``--omega`` raises here, before any input is read."""
     if name == "jacobi":
         return Method.jacobi()
     if name == "gauss-seidel":
         return Method.gauss_seidel()
-    if omega is not None:
-        return Method.sor(omega)
-    fallback = profile.sor_omega if profile.sor_omega is not None else _FALLBACK_OMEGA
-    return Method.sor(fallback)
+    # ``_check_omega_flag`` has rejected a weight without '--method sor'.
+    return Method.sor(omega) if omega is not None else None
+
+
+def _profiled_sor(profile) -> Method:
+    """SOR at the weight the profile was measured at, or the fallback."""
+    return Method.sor(profile.sor_omega if profile.sor_omega is not None else _FALLBACK_OMEGA)
 
 
 def _check_omega_flag(args) -> None:
@@ -411,6 +417,7 @@ def _exit_status(report, config: SolverConfig) -> int:
 
 def _cmd_solve(args) -> int:
     _check_omega_flag(args)
+    forced = _forced_method(args.method, args.omega)
     # One CSR matrix serves classify and solve, so its row views are derived once.
     a = parse_matrix(Path(args.matrix).read_text())
     b = parse_vector(Path(args.rhs).read_text())
@@ -426,7 +433,7 @@ def _cmd_solve(args) -> int:
     if args.method == "auto":
         method, rationale = select_method(profile)
     else:
-        method = _forced_method(args.method, args.omega, profile)
+        method = forced if forced is not None else _profiled_sor(profile)
     # Without --history no residual is wanted before the convergence checks.
     config = SolverConfig(
         method=method,
@@ -464,22 +471,18 @@ def _cmd_traffic_solve(args) -> int:
     if (args.network is None) == (args.aadt is None):
         raise ValueError("provide exactly one of <network> or --aadt")
     _check_omega_flag(args)
+    method = _forced_method(args.method, args.omega)
     if args.network is not None:
         network = parse_network(Path(args.network).read_text())
     else:
         network = generate_ring(parse_aadt(Path(args.aadt).read_text()))
     if args.close_exit:
         network = close_exits(network, args.close_exit)
-    method = None
-    if args.method != "auto":
-        if args.method == "sor" and args.omega is None:
-            # Probe the reduced system for the profiled weight so a bare
-            # '--method sor' runs at the optimum when one exists.
-            a, b = assemble(network)
-            pre = classify(reduce(a, b).normal_matrix)
-            method = _forced_method("sor", None, pre)
-        else:
-            method = _forced_method(args.method, args.omega, None)
+    if method is None and args.method == "sor":
+        # Probe the reduced system for the profiled weight so a bare
+        # '--method sor' runs at the optimum when one exists.
+        a, b = assemble(network)
+        method = _profiled_sor(classify(reduce(a, b).normal_matrix))
     # No history is printed, so no residual is wanted before the checks.
     config = SolverConfig(
         method=method, eta=args.eta, max_iterations=args.max_iter, history_stride=args.max_iter

@@ -3,8 +3,8 @@
 Young's theory of consistently ordered matrices gives most radii without
 iterating.  A is consistently ordered when integer levels gamma exist with
 gamma_j - gamma_i = +1 for every nonzero off-diagonal A_ij with j > i and
--1 with j < i; a breadth-first search over the stored off-diagonals finds
-them or proves that none exist, exactly and in O(nnz).  Tridiagonal
+-1 with j < i; a breadth-first search over the nonzero off-diagonals finds
+them or proves that none exist, exactly and in O(nnz log nnz).  Tridiagonal
 matrices need no search (gamma_i = i), which covers the normal matrices
 of ring roads.  For such a matrix with a nonzero diagonal
 rho_gs = rho_j^2.  When the Jacobi spectrum is also real and rho_j < 1,
@@ -41,8 +41,11 @@ Classification checks each method's sufficient condition (diagonal
 dominance for Jacobi, symmetric positive definite for Gauss-Seidel, the
 optimal weight of a consistently ordered matrix for SOR), obtains all
 three radii, and recommends the method with the smallest one.  All of it
-reads the split, kernel rows and band that the CSR matrix keeps
-(``matrix_core``), which ``solve`` reuses.
+reads views that the CSR matrix keeps (``matrix_core``), each derived once:
+the structure flags, the ordering search, the symmetrisability test and
+Lanczos read the split's ``couplings``, numpy arrays of the nonzero
+off-diagonals; the Cholesky test reads its kernel rows and Sturm
+bisection its band.  ``solve`` reuses the split and its kernel rows.
 """
 
 from __future__ import annotations
@@ -50,13 +53,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoConvergentMethodError
-from .matrix_core import SparseMatrix, TriangularSplit, _require_square
+from .matrix_core import SparseMatrix, TriangularSplit, _Couplings, _require_square
 # ``iteration_matrix`` is unused here but stays importable from this module,
 # where perfbench's tracer looks it up.
 from .stationary_solvers import Method, _iteration_array, iteration_matrix  # noqa: F401
@@ -287,47 +288,31 @@ def estimate_iterations(eta: float, rho: float, norm_a: float, first_step: float
 def structure_flags(a: SparseMatrix) -> dict[str, bool]:
     """The six structure flags of a profile, by definitional checks.
 
-    Runs in O(nnz) on the split's kernel rows.  Symmetry matches each row's
-    nonzero strict lower entries with its column's nonzero strict upper
-    ones, tridiagonality and zero diagonals are exact comparisons, and
-    dominance compares each |A_ii| against its off-diagonal row sum.
-    Positive definiteness is tested only for symmetric matrices, by one
-    envelope Cholesky factorization on the same rows that must keep every
-    pivot positive.  It meets the pivots of the dense factorization bit for
-    bit and costs O(sum of squared row envelopes): O(n) on tridiagonal
-    input, O(n bw^2) on a band of width bw, and no matrix is made dense.
+    Runs in O(nnz) on the split's ``couplings``, the nonzero off-diagonals.
+    A is symmetric when every coupling has a partner of equal value and
+    tridiagonal when every coupling has |i - j| <= 1.  Dominance compares
+    each |A_ii| against its off-diagonal row sum, added in column order by
+    ``np.bincount``; the stored zeros the couplings leave out add nothing
+    to such a sum.  Positive definiteness is tested only for symmetric
+    matrices, by one envelope Cholesky factorization on the kernel rows
+    that must keep every pivot positive.  It meets the pivots of the dense
+    factorization bit for bit and costs O(sum of squared row envelopes):
+    O(n) on tridiagonal input, O(n bw^2) on a band of width bw, and no
+    matrix is made dense.
     """
     n = _require_square(a)
     split = a.split
-    diag = split.diag.entries
-    # above[i] collects the nonzero (j, -A_ji) with j < i, by ascending j.
-    above: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    symmetric = strict = weak = tridiagonal = True
-    zero_diag = False
-    for i, row in enumerate(split.kernel_rows):
-        d = abs(diag[i])
-        off = 0.0
-        below = []
-        for j, v in row:
-            off += abs(v)
-            if v != 0.0:
-                if j < i:
-                    below.append((j, v))
-                else:
-                    above[j].append((i, v))
-                if abs(i - j) > 1:
-                    tridiagonal = False
-        symmetric = symmetric and below == above[i]
-        strict = strict and d > off
-        weak = weak and d >= off
-        zero_diag = zero_diag or d == 0.0
+    _, rows, cols, values, partner = split.couplings
+    diag = np.abs(split.diag.entries)
+    off = np.bincount(rows, weights=np.abs(values), minlength=n)
+    symmetric = bool((partner >= 0).all() and (values[partner] == values).all())
     return {
         "is_symmetric": symmetric,
-        "is_strictly_diag_dominant": strict,
-        "is_weakly_diag_dominant": weak,
-        "is_tridiagonal": tridiagonal,
+        "is_strictly_diag_dominant": bool((diag > off).all()),
+        "is_weakly_diag_dominant": bool((diag >= off).all()),
+        "is_tridiagonal": bool((np.abs(rows - cols) <= 1).all()),
         "is_positive_definite": symmetric and _cholesky_succeeds(split),
-        "has_zero_diagonal": zero_diag,
+        "has_zero_diagonal": bool((diag == 0.0).any()),
     }
 
 
@@ -415,26 +400,26 @@ def _tridiagonal_jacobi_radius(diag, sub) -> float:
             lo = mid
 
 
-def _ordering_search(split: TriangularSplit):
+def _ordering_search(couplings: _Couplings):
     """Levels gamma that consistently order A, with the search tree that
     found them, or None when no such levels exist.
 
-    A breadth-first search from the lowest unvisited row over the nonzero
-    stored off-diagonals of either triangle: reaching j from i over A_ij or
-    A_ji sets gamma_j = gamma_i + 1 when j > i and gamma_i - 1 when j < i,
-    and meeting a visited j at another level proves that no gamma exists.
-    Each search root has level 0.  Integers only, so no tolerance; O(nnz).
-    The tree lists its (parent, child) edges in the order found, so every
-    parent comes before its children.
+    A breadth-first search from the lowest unvisited row over the
+    couplings, the nonzero off-diagonals of either triangle: reaching j
+    from i over A_ij or A_ji sets gamma_j = gamma_i + 1 when j > i and
+    gamma_i - 1 when j < i, and meeting a visited j at another level
+    proves that no gamma exists.  Row i's neighbours are the other ends of
+    its couplings in row-major order, which a stable sort of the doubled
+    coupling list on its first end gives.  Each search root has level 0.
+    Integers only, so no tolerance; O(nnz log nnz).  The tree lists its
+    (parent, child) edges in the order found, so every parent comes before
+    its children.
     """
-    rows = split.kernel_rows
-    n = len(rows)
-    adjacent: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, v in row:
-            if v != 0.0:
-                adjacent[i].append(j)
-                adjacent[j].append(i)
+    n, rows, cols, _, _ = couplings
+    ends = np.column_stack((rows, cols)).ravel()
+    order = np.argsort(ends, kind="stable")
+    neighbours = np.column_stack((cols, rows)).ravel()[order].tolist()
+    start = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
     gamma: list[int | None] = [None] * n
     tree: list[tuple[int, int]] = []
     for root in range(n):
@@ -443,7 +428,7 @@ def _ordering_search(split: TriangularSplit):
         gamma[root] = 0
         queue = [root]
         for i in queue:
-            for j in adjacent[i]:
+            for j in neighbours[start[i] : start[i + 1]]:
                 level = gamma[i] + (1 if j > i else -1)
                 if gamma[j] is None:
                     gamma[j] = level
@@ -452,32 +437,6 @@ def _ordering_search(split: TriangularSplit):
                 elif gamma[j] != level:
                     return None
     return gamma, tree
-
-
-class _Couplings(NamedTuple):
-    """The nonzero stored off-diagonals of an n x n matrix A in row-major
-    order: row i, column j and kernel value -A_ij of each, and the position
-    of its transpose entry (j, i), or -1 when A_ji is zero or not stored."""
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    partner: np.ndarray
-
-
-def _couplings(split: TriangularSplit) -> _Couplings:
-    """The ``_Couplings`` of a split, read from its kernel rows."""
-    kernel = split.kernel_rows
-    n = len(kernel)
-    rows = np.repeat(np.arange(n), [len(row) for row in kernel])
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(kernel)), np.float64, 2 * len(rows))
-    keep = flat[1::2] != 0.0
-    rows, cols, values = rows[keep], flat[0::2][keep].astype(np.intp), flat[1::2][keep]
-    keys = rows * n + cols
-    back = cols * n + rows
-    pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
-    return _Couplings(n, rows, cols, values, np.where(keys[pos] == back, pos, -1))
 
 
 def _symmetrisable(couplings: _Couplings, tree) -> bool:
@@ -657,12 +616,13 @@ def classify(a: SparseMatrix) -> MatrixProfile:
         return est.rho
 
     diag = split.diag.entries
+    couplings = split.couplings
     positive = all(d > 0.0 for d in diag)
     symmetric = flags["is_symmetric"]
     tridiagonal = flags["is_tridiagonal"]
     # gamma_i = i orders a tridiagonal matrix; a nonsymmetric one still
     # needs the search tree for ``_symmetrisable``.
-    search = None if tridiagonal and symmetric else _ordering_search(split)
+    search = None if tridiagonal and symmetric else _ordering_search(couplings)
     ordered = tridiagonal or search is not None
     if symmetric and tridiagonal and positive:
         lower, _, _ = split.band
@@ -670,9 +630,8 @@ def classify(a: SparseMatrix) -> MatrixProfile:
         rho_up = rho_j
         real_spectrum = True
     else:
-        couplings = _couplings(split) if positive and (symmetric or ordered) else None
-        real_spectrum = couplings is not None and (
-            symmetric or _symmetrisable(couplings, search[1])
+        real_spectrum = positive and (
+            symmetric or (search is not None and _symmetrisable(couplings, search[1]))
         )
         if real_spectrum:
             est = _lanczos_radius(diag, couplings, _CLASSIFY_TOL, _LANCZOS_MAX_DIM)

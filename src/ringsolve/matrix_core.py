@@ -15,7 +15,13 @@ without performing any arithmetic beyond unary negation.
 
 Row views are derived once, on first use, and kept on the immutable object:
 a ``SparseMatrix`` keeps its ``split`` and ``residual_rows``, a split its
-``kernel_rows`` and ``band``, so ``classify`` and ``solve`` share them.
+``kernel_rows``, ``band`` and ``couplings``, so ``classify`` and ``solve``
+share them.  The sweeps and the envelope Cholesky read the kernel rows and
+Sturm bisection the band.  ``couplings`` holds only the nonzero
+off-diagonals, as numpy arrays with each entry's transpose partner, for
+the structure flags, the ordering search, the symmetrisability test and
+Lanczos; the sweeps keep the kernel rows, because a stored zero can turn
+a -0.0 accumulator into +0.0.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Vector",
@@ -152,6 +162,18 @@ class SparseMatrix:
         )
 
 
+class _Couplings(NamedTuple):
+    """The nonzero stored off-diagonals of an n x n matrix A in row-major
+    order: row i, column j and kernel value -A_ij of each, and the position
+    of its transpose entry (j, i), or -1 when A_ji is zero or not stored."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    partner: np.ndarray
+
+
 @dataclass(frozen=True)
 class TriangularSplit:
     """The parts of A = D - L - U.
@@ -203,6 +225,22 @@ class TriangularSplit:
                     upper[i] = v
             exact = exact and [j for j, _ in row] == [j for j in (i - 1, i + 1) if 0 <= j < n]
         return tuple(lower), tuple(upper), exact
+
+    @cached_property
+    def couplings(self) -> _Couplings:
+        """The nonzero entries of ``kernel_rows`` as numpy arrays, with the
+        position of each one's transpose partner (``_Couplings``)."""
+        kernel = self.kernel_rows
+        n = len(kernel)
+        rows = np.repeat(np.arange(n), [len(row) for row in kernel])
+        pairs = chain.from_iterable(chain.from_iterable(kernel))
+        flat = np.fromiter(pairs, np.float64, 2 * len(rows))
+        keep = flat[1::2] != 0.0
+        rows, cols, values = rows[keep], flat[0::2][keep].astype(np.intp), flat[1::2][keep]
+        keys = rows * n + cols
+        back = cols * n + rows
+        pos = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+        return _Couplings(n, rows, cols, values, np.where(keys[pos] == back, pos, -1))
 
 
 def _require_square(a: SparseMatrix) -> int:

@@ -4,9 +4,10 @@ Textbook loops on dense rows, kept out of the package because nothing in
 it needs them: Gaussian elimination with back substitution, the exact
 solution iterative results are compared with; the D - L - U recomposition
 that inverts ``split_dlu``; the dense-to-CSR rule that
-``SparseMatrix.from_rows`` and dense matrix files follow; and Young's
+``SparseMatrix.from_rows`` and dense matrix files follow; Young's
 consistent-ordering test by shortest paths, which the breadth-first search
-in ``classify`` is judged against.
+in ``classify`` is judged against; and that search over adjacency lists
+from a scan of the kernel rows, which pins the order it visits rows in.
 """
 
 import math
@@ -126,3 +127,37 @@ def consistently_ordered(rows) -> bool:
                 if dist[i][k] + dist[k][j] < dist[i][j]:
                     dist[i][j] = dist[i][k] + dist[k][j]
     return all(dist[i][i] >= 0 for i in range(n))
+
+
+def ordering_search_by_row_scan(split: TriangularSplit):
+    """The (gamma, tree) of ``_ordering_search``, or None, by the same
+    breadth-first search over adjacency lists built from a scan of the
+    kernel rows: each nonzero -A_ij, in row-major order, appends j to row
+    i's list and i to row j's.  The tree fixes the order in which
+    ``_symmetrisable`` sums log ratios, so the search must visit rows and
+    neighbours in exactly this order."""
+    rows = split.kernel_rows
+    n = len(rows)
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row:
+            if v != 0.0:
+                adjacent[i].append(j)
+                adjacent[j].append(i)
+    gamma: list[int | None] = [None] * n
+    tree: list[tuple[int, int]] = []
+    for root in range(n):
+        if gamma[root] is not None:
+            continue
+        gamma[root] = 0
+        queue = [root]
+        for i in queue:
+            for j in adjacent[i]:
+                level = gamma[i] + (1 if j > i else -1)
+                if gamma[j] is None:
+                    gamma[j] = level
+                    tree.append((i, j))
+                    queue.append(j)
+                elif gamma[j] != level:
+                    return None
+    return gamma, tree

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import solve_direct
 from ringsolve import SolverConfig, cli, parse_network, parse_segments
-from ringsolve import matrix_core, parse_matrix, parse_vector, stationary_solvers, write_vector
+from ringsolve import cli_io, matrix_core, parse_matrix, parse_vector, stationary_solvers, write_vector
 
 
 def run(capsys, *argv):
@@ -167,6 +167,26 @@ class TestSolve:
         code, _, err = run(capsys, "solve", *sec21, "--method", "sor", "--omega", "2.5")
         assert code == 1
         assert "0 < omega < 2" in err
+
+    def test_omega_out_of_range_fails_before_any_analysis(
+        self, capsys, monkeypatch, sec21, fixtures_dir, tmp_path
+    ):
+        def refuse(a):
+            raise AssertionError("classify ran")
+
+        monkeypatch.setattr(cli_io, "classify", refuse)
+        bad = tmp_path / "bad.mat"
+        bad.write_text("dense 2 2\n1 2\n3\n")
+        network = str(fixtures_dir / "fig1.network")
+        for argv in (
+            ["solve", *sec21],
+            # The weight is checked before a malformed file is read.
+            ["solve", str(bad), sec21[1]],
+            ["traffic", "solve", network],
+        ):
+            code, out, err = run(capsys, *argv, "--method", "sor", "--omega", "2.5")
+            assert code == 1 and out == ""
+            assert "0 < omega < 2" in err
 
     def test_omega_without_sor(self, capsys, sec21):
         code, _, err = run(capsys, "solve", *sec21, "--omega", "1.1")

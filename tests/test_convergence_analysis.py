@@ -1,6 +1,7 @@
 """Spectral-radius estimation, classification, and method selection."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import identity, ring_system, to_rows, tridiag
-from oracles import consistently_ordered
+from oracles import consistently_ordered, ordering_search_by_row_scan
 from ringsolve import (
     MatrixProfile,
     Method,
     NoConvergentMethodError,
     SolverConfig,
     SparseMatrix,
+    TriangularSplit,
     Vector,
     assemble,
     classify,
@@ -37,7 +39,6 @@ from ringsolve.convergence_analysis import (
     _CLASSIFY_TOL,
     _LANCZOS_MAX_DIM,
     _MAX_POWER_STEPS,
-    _couplings,
     _lanczos_radius,
     _ordering_search,
     _power_radius,
@@ -116,6 +117,12 @@ def flagged_matrices(draw):
             elif symmetric and j < i:
                 v = rows[j][i]
                 rows[i][j] = draw(st.sampled_from([0.0, -0.0])) if v == 0.0 else v
+    return rows, with_stored_zeros(draw, rows)
+
+
+def with_stored_zeros(draw, rows):
+    """The CSR form of square ``rows`` that also stores a random subset of
+    their +0.0 entries."""
     offsets, col_indices, stored = [0], [], []
     for row in rows:
         for j, v in enumerate(row):
@@ -123,7 +130,8 @@ def flagged_matrices(draw):
                 col_indices.append(j)
                 stored.append(v)
         offsets.append(len(stored))
-    return rows, SparseMatrix(n, n, tuple(offsets), tuple(col_indices), tuple(stored))
+    n = len(rows)
+    return SparseMatrix(n, n, tuple(offsets), tuple(col_indices), tuple(stored))
 
 
 def definitional_flags(rows):
@@ -450,6 +458,48 @@ class TestStructureFlags:
             flags = structure_flags(a)
             assert flags["is_symmetric"] and flags["is_positive_definite"]
         assert not structure_flags(grid)["is_tridiagonal"]
+
+
+class TestOneCouplingView:
+    """The flags, the ordering search and Lanczos share one ``couplings``
+    view per split."""
+
+    @pytest.mark.parametrize("shape", ["grid", "ring"])
+    def test_couplings_are_derived_once_per_matrix(self, monkeypatch, shape):
+        derived = []
+        derive = TriangularSplit.couplings.func
+
+        def counting(split):
+            derived.append(split)
+            return derive(split)
+
+        view = cached_property(counting)
+        view.__set_name__(TriangularSplit, "couplings")
+        monkeypatch.setattr(TriangularSplit, "couplings", view)
+        if shape == "grid":
+            a = SparseMatrix.from_rows(convection_diffusion(6, 0.2))
+            b = Vector((1.0,) * a.rows)
+        else:
+            reduced = reduce(*ring_system([1.0, -1.0] * 16))
+            a, b = reduced.normal_matrix, reduced.normal_rhs
+        structure_flags(a)
+        profile = classify(a)
+        report = solve(a, b, SolverConfig(method=profile.recommendation), profile)
+        assert report.converged
+        assert len(derived) == 1 and derived[0] is a.split
+
+    def test_classify_reads_the_flags_through_the_module_attribute(self, monkeypatch):
+        # perfbench's tracer wraps this attribute for its structure_flags span.
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return structure_flags(a)
+
+        monkeypatch.setattr(convergence_analysis, "structure_flags", counting)
+        a = SparseMatrix.from_rows(convection_diffusion(4, 0.1))
+        classify(a)
+        assert calls == [a]
 
 
 class TestClassify:
@@ -850,7 +900,7 @@ def symmetrised_radius(a):
 
 def lanczos(a):
     split = a.split
-    return _lanczos_radius(split.diag.entries, _couplings(split), _CLASSIFY_TOL, _LANCZOS_MAX_DIM)
+    return _lanczos_radius(split.diag.entries, split.couplings, _CLASSIFY_TOL, _LANCZOS_MAX_DIM)
 
 
 def measured_profile(a):
@@ -865,7 +915,7 @@ def measured_profile(a):
 def assert_ordering_search_is_exact(rows):
     """``_ordering_search`` agrees with the shortest-path oracle, and the
     levels it returns satisfy the definition entry by entry."""
-    found = _ordering_search(SparseMatrix.from_rows(rows).split)
+    found = _ordering_search(SparseMatrix.from_rows(rows).split.couplings)
     assert (found is not None) == consistently_ordered(rows)
     if found is not None:
         gamma, tree = found
@@ -921,6 +971,51 @@ def ordered_matrices(draw, symmetric):
     return rows if shape == "natural" else permuted(rows, red_black(m))
 
 
+@st.composite
+def search_matrices(draw):
+    """A CSR matrix whose couplings the ordering search walks: a 5-point
+    grid in natural, red-black or random order, a 9-point grid, a
+    tridiagonal matrix, or random rows.  Each coupling is -1, a random
+    value, +0.0 or -0.0, and some lower ones are dropped so that their
+    upper partners are one-sided; a random subset of the +0.0 entries is
+    stored."""
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(
+        st.sampled_from(
+            ["natural", "red-black", "random order", "nine-point", "tridiagonal", "random rows"]
+        )
+    )
+    m = draw(st.integers(2, 5))
+
+    def coupling(i, j):
+        return rng.choice([-1.0, 0.0, -0.0, rng.uniform(-2.0, 2.0)])
+
+    if shape == "tridiagonal":
+        n = m * m
+        rows = [[coupling(i, j) if abs(i - j) == 1 else 0.0 for j in range(n)] for i in range(n)]
+    elif shape == "random rows":
+        n = draw(st.integers(1, 8))
+        rows = [[coupling(i, j) if rng.random() < 0.4 else 0.0 for j in range(n)] for i in range(n)]
+    elif shape == "nine-point":
+        rows = nine_point(m, coupling)
+    else:
+        rows = five_point(m, coupling)
+        order = list(range(m * m))
+        if shape == "red-black":
+            order = red_black(m)
+        elif shape == "random order":
+            rng.shuffle(order)
+        rows = permuted(rows, order)
+    n = len(rows)
+    one_sided = draw(st.floats(min_value=0.0, max_value=0.5))
+    for i in range(n):
+        rows[i][i] = 4.0
+        for j in range(i):
+            if rng.random() < one_sided:
+                rows[i][j] = 0.0
+    return with_stored_zeros(draw, rows)
+
+
 class TestYoungTheory:
     """Consistently ordered matrices: rho_gs = rho_j^2 and, with a real
     Jacobi spectrum, SOR at omega* with radius omega* - 1."""
@@ -967,12 +1062,19 @@ class TestYoungTheory:
         assert 0.0 <= profile.omega_star - optimal_omega(exact) <= 1e-8
         assert profile.rho_sor == profile.omega_star - 1.0
 
+    @settings(max_examples=150)
+    @given(search_matrices())
+    def test_search_visits_rows_in_row_scan_order_property(self, a):
+        # ``_symmetrisable`` sums log ratios along the tree, so the levels
+        # and the tree must match edge for edge, not only as sets.
+        assert _ordering_search(a.split.couplings) == ordering_search_by_row_scan(a.split)
+
     def test_ring_normal_matrix_runs_no_ordering_search(self, monkeypatch):
         calls = []
 
-        def counting(split):
-            calls.append(split)
-            return _ordering_search(split)
+        def counting(couplings):
+            calls.append(couplings)
+            return _ordering_search(couplings)
 
         monkeypatch.setattr(convergence_analysis, "_ordering_search", counting)
         classify(reduce(*ring_system([1.0, -1.0] * 16)).normal_matrix)
@@ -1003,8 +1105,8 @@ class TestYoungTheory:
         rows = five_point(3, lambda i, j: -1.0)
         rows[0][1] *= 1.1
         a = SparseMatrix.from_rows(rows)
-        assert _ordering_search(a.split) is not None
-        assert not _symmetrisable(_couplings(a.split), _ordering_search(a.split)[1])
+        assert _ordering_search(a.split.couplings) is not None
+        assert not _symmetrisable(a.split.couplings, _ordering_search(a.split.couplings)[1])
         profile = classify(a)
         assert profile.rho_gauss_seidel == profile.rho_jacobi**2
         assert profile.omega_star is None and profile.sor_omega == 1.5
@@ -1045,7 +1147,7 @@ class TestYoungTheory:
         rows = [[d1[i] * rows[i][j] * d2[j] for j in range(n)] for i in range(n)]
         a = SparseMatrix.from_rows(rows)
         _, tree = assert_ordering_search_is_exact(rows)
-        assert _symmetrisable(_couplings(a.split), tree)
+        assert _symmetrisable(a.split.couplings, tree)
         profile = classify(a)
         assert profile.omega_star is not None
         want_g = eig_radius(a, Method.gauss_seidel())
@@ -1075,7 +1177,7 @@ class TestYoungTheory:
         self.assert_measured_profile(SparseMatrix.from_rows(rows))
 
     def test_sec21_keeps_the_measured_profile(self):
-        assert _ordering_search(SEC21.split) is None
+        assert _ordering_search(SEC21.split.couplings) is None
         assert not consistently_ordered(SEC21_ROWS)
         self.assert_measured_profile(SEC21)
 
@@ -1157,7 +1259,7 @@ class TestLanczosRadius:
 
     def test_cap_short_of_n_is_unconverged(self):
         a = SparseMatrix.from_rows(five_point(6, lambda i, j: -1.0))
-        est = _lanczos_radius(a.split.diag.entries, _couplings(a.split), _CLASSIFY_TOL, 4)
+        est = _lanczos_radius(a.split.diag.entries, a.split.couplings, _CLASSIFY_TOL, 4)
         assert est.iterations_used == 4 and not est.converged
         assert est.rho < symmetrised_radius(a)
 
