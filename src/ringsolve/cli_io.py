@@ -7,8 +7,8 @@ significant digits so that parse(write(x)) reproduces x bit for bit.
 
 Exit status contract: 0 on success, 1 on usage or input errors (bad
 flags, malformed files, out-of-range omega), 2 on numerical failures
-(zero diagonal, divergence, no convergent method, or a solve that stops
-at max_iterations without reaching the threshold).
+(zero diagonal, divergence, no convergent method or SOR weight, or a
+solve that stops at max_iterations without reaching the threshold).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .convergence_analysis import _FALLBACK_OMEGA, classify, select_method
+from .convergence_analysis import classify, select_method
 from .errors import NumericalError, ParseError
 from .matrix_core import SparseMatrix, Vector
 from .stationary_solvers import Method, SolverConfig, solve
@@ -383,8 +383,8 @@ def _cmd_analyze(args) -> int:
 
 def _forced_method(name: str, omega: float | None) -> Method | None:
     """The method ``--method`` names, or None for 'auto' and for a bare
-    '--method sor', whose weight comes from the profile.  An out-of-range
-    ``--omega`` raises here, before any input is read."""
+    '--method sor', whose weight comes from the profile (``_profiled_sor``).
+    An out-of-range ``--omega`` raises here, before any input is read."""
     if name == "jacobi":
         return Method.jacobi()
     if name == "gauss-seidel":
@@ -394,8 +394,10 @@ def _forced_method(name: str, omega: float | None) -> Method | None:
 
 
 def _profiled_sor(profile) -> Method:
-    """SOR at the weight the profile was measured at, or the fallback."""
-    return Method.sor(profile.sor_omega if profile.sor_omega is not None else _FALLBACK_OMEGA)
+    """SOR at the weight the profile was measured at; without one, exit 2."""
+    if profile.sor_omega is None:
+        raise NumericalError("no SOR weight was profiled for this matrix; choose one with --omega")
+    return Method.sor(profile.sor_omega)
 
 
 def _check_omega_flag(args) -> None:
@@ -604,9 +606,6 @@ def cli(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,19 +23,20 @@ Lanczos iteration on B finds rho_j in O(nnz) per step from the stored
 entries alone (``_lanczos_radius``).  Young's relations then give rho_gs
 and, with omega*, rho_sor.  What is left goes to power iteration on the
 dense iteration matrix: rho_j of a matrix without a certificate, rho_gs of
-one that is not consistently ordered, and rho_sor at the fixed fallback
-weight 1.5 wherever omega* is not certified.  T is built as a dense numpy
-array by forward substitution on whole rows (``_iteration_array``), the
-T that ``iteration_matrix`` returns in CSR form, bit for bit.  Each power
-step applies it to the iterate and renormalizes, from a fixed seed.
+one that is not consistently ordered, and rho_sor wherever omega* is not
+certified, at Young's weight optimal_omega(sqrt(rho_gs)) when rho_gs < 1
+and not at all otherwise.  T is built as a dense numpy array by forward
+substitution on whole rows (``_iteration_array``), the T that
+``iteration_matrix`` returns in CSR form, bit for bit.  Each power step
+applies it to the iterate and renormalizes, from a fixed seed.
 Growth factors are averaged geometrically over a trailing window of 32
 steps, which settles when the dominant eigenvalues are a +/- pair, where a
 single-step ratio oscillates forever.  It does not settle on a
 complex-conjugate pair of a matrix that is not normal: the growth factors
 then oscillate with the pair's argument, and a 32-step window averages
-them out only when 32 steps span whole turns.  SOR at 1.5 on the 3 x 3
-matrix of ``fixtures/sec21.mat`` runs all 50 000 steps and reports
-0.50133 against a true 0.50331, with ``converged`` False.
+them out only when 32 steps span whole turns.  On T_sor at omega = 1.5
+for the 3 x 3 matrix of ``fixtures/sec21.mat`` it runs all 50 000 steps
+and reports 0.50133 against a true 0.50331, with ``converged`` False.
 
 Classification checks each method's sufficient condition (diagonal
 dominance for Jacobi, symmetric positive definite for Gauss-Seidel, the
@@ -85,8 +86,6 @@ _MAX_POWER_STEPS = 50000
 # finer than the selection tie tolerance below, so the default public
 # tolerance is too loose.
 _CLASSIFY_TOL = 1e-10
-# SOR weight used for profiling when the optimal-omega hypotheses fail.
-_FALLBACK_OMEGA = 1.5
 # Radii this close together are treated as tied during method selection,
 # and a radius this close to 1 counts as 1.
 _TIE_TOL = 1e-9
@@ -117,11 +116,12 @@ class MatrixProfile:
     matrices undefined.  ``omega_star`` is present only when the optimal
     SOR weight's hypotheses hold: the matrix is consistently ordered with a
     real Jacobi spectrum (certified by symmetry or a symmetrising positive
-    diagonal scaling, with a positive diagonal) and rho_jacobi < 1;
-    ``sor_omega`` always records the weight rho_sor was measured at, so
-    ``omega_star is None`` with ``rho_sor`` present flags a non-optimal
-    fallback profile.  A priori iteration counts need a right-hand side,
-    so they live in ``SolveReport.predicted_counts``, not here.
+    diagonal scaling, with a positive diagonal) and rho_jacobi < 1.
+    ``sor_omega`` is the weight rho_sor belongs to: omega_star, or else
+    Young's optimal_omega(sqrt(rho_gauss_seidel)) on the measured radius,
+    and None with rho_sor when rho_gauss_seidel is not below 1 by more than
+    1e-9.  A priori iteration counts need a right-hand side, so they live
+    in ``SolveReport.predicted_counts``, not here.
     ``radii_converged`` is False when a radius came from a power
     iteration that ran out of steps before its estimate settled, or from
     a Lanczos run that reached its dimension cap before its Ritz value
@@ -588,8 +588,10 @@ def classify(a: SparseMatrix) -> MatrixProfile:
 
     Every other radius is measured by power iteration on the dense
     iteration matrix, built as a numpy array (the T of
-    ``iteration_matrix``, without its CSR wrapper), SOR at the
-    fixed fallback weight 1.5 with ``omega_star`` left unset.  Both
+    ``iteration_matrix``, without its CSR wrapper).  SOR is measured at
+    Young's weight optimal_omega(sqrt(rho_gauss_seidel)) on the radius just
+    found, with ``omega_star`` unset, and is not profiled when
+    rho_gauss_seidel is not below 1 by more than 1e-9.  Both
     Lanczos and power iteration raise ``ValueError`` on a non-finite entry
     of T, naming its row-major index.  They use a tolerance of 1e-10, far
     below the public default, and ``radii_converged`` records whether they
@@ -645,13 +647,12 @@ def classify(a: SparseMatrix) -> MatrixProfile:
         # that may sit below the true radius.
         rho_up = rho_j * (1.0 + _CLASSIFY_TOL)
     rho_g = rho_j * rho_j if ordered else measured(Method.gauss_seidel())
+    omega_star = sor_omega = rho_s = None
     if ordered and real_spectrum and rho_up < 1.0:
-        omega_star = optimal_omega(rho_up)
-        sor_omega = omega_star
+        omega_star = sor_omega = optimal_omega(rho_up)
         rho_s = omega_star - 1.0
-    else:
-        omega_star = None
-        sor_omega = _FALLBACK_OMEGA
+    elif rho_g < 1.0 - _TIE_TOL:
+        sor_omega = optimal_omega(math.sqrt(rho_g))
         rho_s = measured(Method.sor(sor_omega))
     pick = _best_method(rho_j, rho_g, rho_s, sor_omega)
     return MatrixProfile(
